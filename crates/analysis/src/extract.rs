@@ -3,7 +3,8 @@
 //! A recursive-descent pass over the token stream recognizes the
 //! communication idioms this workspace actually uses — `comm.send(to,
 //! tag, ..)`, `recv(from, tag)`, `recv_any(&tags)`, collective calls,
-//! `alloc_collective_tag(s)`, `fault_point`, `purge_pending` — and the
+//! `alloc_collective_tag(s)`, `fault_point`, `purge_pending`, and calls
+//! (free or method) that may reach a protocol-bearing function — and the
 //! control flow around them (`if`/`else if`, `for` over literal ranges,
 //! `while`/`loop`, `match`). Everything else degrades conservatively:
 //! an unparseable loop bound becomes a nondeterministic loop, an opaque
@@ -20,6 +21,14 @@ use std::collections::{BTreeMap, BTreeSet};
 /// modules are all found; closures stay part of their enclosing
 /// statement.
 pub fn extract_fns(lexed: &Lexed) -> Vec<FnDef> {
+    extract_fns_calling(lexed, &BTreeSet::new())
+}
+
+/// [`extract_fns`], additionally recording a method call as
+/// [`Op::Call`] when its name is in `methods` — the functions defined in
+/// the simulation scope, so a trait hook call (`policy.place(ctx, ..)`)
+/// resolves like a free call.
+pub fn extract_fns_calling(lexed: &Lexed, methods: &BTreeSet<String>) -> Vec<FnDef> {
     let t = &lexed.tokens;
     let mut out = Vec::new();
     let mut i = 0;
@@ -46,7 +55,7 @@ pub fn extract_fns(lexed: &Lexed) -> Vec<FnDef> {
                     if j < t.len() && t[j].is_punct('{') {
                         let close = matching_brace(t, j);
                         let body = &t[j + 1..close];
-                        let mut px = Parser::new(body);
+                        let mut px = Parser::new(body, methods);
                         let ops = px.parse_block(body);
                         out.push(FnDef {
                             name: name.to_string(),
@@ -114,7 +123,9 @@ fn is_rendezvous_name(name: &str) -> bool {
     crate::rules::is_collective_name(name) || name == "barrier"
 }
 
-struct Parser {
+struct Parser<'m> {
+    /// Method names recorded as candidate protocol-bearing calls.
+    methods: &'m BTreeSet<String>,
     next_site: u32,
     tag_arrays: BTreeMap<String, Vec<Expr>>,
     /// Idents licensed by `assert_eq!(x.len(), ..world())` to drive
@@ -122,8 +133,8 @@ struct Parser {
     world_sized: BTreeSet<String>,
 }
 
-impl Parser {
-    fn new(body: &[Token]) -> Self {
+impl<'m> Parser<'m> {
+    fn new(body: &[Token], methods: &'m BTreeSet<String>) -> Self {
         let mut world_sized = BTreeSet::new();
         // Pre-pass: assert_eq!(X.len(), <..>.world(), ...) licenses X.
         let mut i = 0;
@@ -156,7 +167,7 @@ impl Parser {
             }
             i += 1;
         }
-        Parser { next_site: 0, tag_arrays: BTreeMap::new(), world_sized }
+        Parser { methods, next_site: 0, tag_arrays: BTreeMap::new(), world_sized }
     }
 
     fn site(&mut self) -> u32 {
@@ -635,6 +646,13 @@ impl Parser {
                             ops.push(Op::Rendezvous { kind: n.to_string(), line });
                             i += 3;
                             continue;
+                        }
+                        // A method named like a simulated function
+                        // (`policy.histograms(ctx, ..)`): a candidate
+                        // protocol-bearing callee, resolved by name like a
+                        // free call. The argument list is still scanned.
+                        n if self.methods.contains(n) => {
+                            ops.push(Op::Call { name: n.to_string(), line })
                         }
                         _ => {}
                     }

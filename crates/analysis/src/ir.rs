@@ -176,9 +176,10 @@ pub enum Op {
     /// A call to a collective (or to `fault_point`, modeled identically):
     /// every rank must reach it together, kinds matching.
     Rendezvous { kind: String, line: u32 },
-    /// A call to a named local function; resolved by the checker to a
-    /// `Rendezvous` when the callee is protocol-bearing, dropped
-    /// otherwise.
+    /// A call to a named function or method (a trait hook such as
+    /// `policy.place(ctx, ..)`); resolved by the checker to a
+    /// `Rendezvous` when a protocol-bearing function of that name exists,
+    /// dropped otherwise.
     Call { name: String, line: u32 },
     /// `purge_pending()` — crash-recovery buffer drain (serve plane).
     Purge { line: u32 },

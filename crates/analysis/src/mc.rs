@@ -1,7 +1,8 @@
 //! The bounded protocol model checker (DESIGN.md item 15).
 //!
 //! Every protocol-bearing function in the SPMD simulation scope
-//! (collectives, parameter server, repartition, the seven trainers) is a
+//! (collectives, parameter server, repartition, the boosting driver and
+//! its data policies, the Vero facade) is a
 //! *unit*: for world sizes 1–4 its IR is flattened into one linear trace
 //! per rank — branch conditions evaluated in a per-rank environment,
 //! unresolved data-dependent choices enumerated *synchronously* across
@@ -32,7 +33,7 @@
 //! [`crate::schema`] and [`crate::locks`] and are folded into the same
 //! report.
 
-use crate::extract::{extract_fns, parse_registry};
+use crate::extract::{extract_fns, extract_fns_calling, parse_registry};
 use crate::ir::{Cond, Expr, FnDef, Op, RecvAnySrc, Rhs};
 use crate::lexer::{lex, Lexed};
 use crate::Diagnostic;
@@ -101,6 +102,7 @@ fn sim_scope(path: &str) -> bool {
         "crates/cluster/src/collectives.rs"
             | "crates/cluster/src/ps.rs"
             | "crates/partition/src/transform.rs"
+            | "crates/quadrants/src/driver.rs"
             | "crates/quadrants/src/qd1.rs"
             | "crates/quadrants/src/qd2.rs"
             | "crates/quadrants/src/qd3.rs"
@@ -1159,13 +1161,21 @@ pub fn model_check_files(files: &[(String, String)]) -> McOutcome {
     // Extraction over both scopes. The registry file itself is never
     // extracted: comm internals multiplex over std channels whose
     // `.send()` is not the wire protocol.
+    // Method calls count as calls when a simulated function carries the
+    // method's name, so trait hooks (`policy.place(ctx, ..)`) join the
+    // call graph below.
+    let sim_names: BTreeSet<String> = lexed
+        .iter()
+        .filter(|(p, _)| sim_scope(p))
+        .flat_map(|(_, lx)| extract_fns(lx).into_iter().map(|f| f.name))
+        .collect();
     let mut extracted: Vec<(String, Lexed, Vec<FnDef>)> = Vec::new();
     for (idx, (path, lx)) in lexed.iter().enumerate() {
         if registry.as_ref().is_some_and(|(ri, _)| *ri == idx) {
             continue;
         }
         if sim_scope(path) || serve_role(path).is_some() {
-            extracted.push((path.clone(), lx.clone(), extract_fns(lx)));
+            extracted.push((path.clone(), lx.clone(), extract_fns_calling(lx, &sim_names)));
         }
     }
 

@@ -129,12 +129,13 @@ fn comm_layer_scope(path: &str) -> bool {
     )
 }
 
-/// The SPMD trainer entry points whose collective schedules must be
-/// rank-symmetric.
+/// The SPMD trainer code whose collective schedules must be
+/// rank-symmetric: the boosting driver and every data-policy file.
 pub(crate) fn trainer_scope(path: &str) -> bool {
     matches!(
         path,
-        "crates/quadrants/src/qd1.rs"
+        "crates/quadrants/src/driver.rs"
+            | "crates/quadrants/src/qd1.rs"
             | "crates/quadrants/src/qd2.rs"
             | "crates/quadrants/src/qd3.rs"
             | "crates/quadrants/src/qd4.rs"
@@ -144,8 +145,10 @@ pub(crate) fn trainer_scope(path: &str) -> bool {
     )
 }
 
-/// Distributed trainers with a per-tree loop (single-node training has no
-/// fault machinery to poll; vero delegates its loop to qd4).
+/// Where a per-tree loop may live: the driver, whose loop every
+/// distributed trainer runs, and the policy files, so a loop written there
+/// again must poll too (single-node training has no fault machinery to
+/// poll; vero delegates to qd4).
 fn fault_point_scope(path: &str) -> bool {
     trainer_scope(path) && path != "crates/vero/src/system.rs"
 }
@@ -181,7 +184,7 @@ pub(crate) fn match_seq(tokens: &[Token], i: usize, pat: &[&str]) -> bool {
 
 /// Names a collective call site: any method in the blocking-rendezvous
 /// family. Prefix-matched so codec variants (`all_reduce_f64_codec`) and
-/// helpers built directly on collectives (`all_reduce_stats`) all count.
+/// helpers built directly on collectives (`all_reduce_root`) all count.
 pub(crate) fn is_collective_name(name: &str) -> bool {
     const PREFIXES: &[&str] = &[
         "broadcast",

@@ -116,6 +116,7 @@ fn workspace_walk_covers_product_sources() {
     let sources = gbdt_analysis::workspace_sources(&root).expect("workspace walk succeeds");
     let paths: BTreeSet<&str> = sources.iter().map(|(p, _)| p.as_str()).collect();
     for must in [
+        "crates/quadrants/src/driver.rs",
         "crates/quadrants/src/qd1.rs",
         "crates/quadrants/src/qd2.rs",
         "crates/quadrants/src/qd3.rs",
@@ -131,12 +132,17 @@ fn workspace_walk_covers_product_sources() {
     }
 }
 
+/// The boosting driver plus every data-policy file: each still holds a
+/// collective or a call into one.
+const TRAINER_FILES: [&str; 7] =
+    ["driver.rs", "qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"];
+
 /// Acceptance check: injecting a rank-conditional collective into a real
 /// trainer makes the gate fail.
 #[test]
 fn injected_rank_conditional_collective_fails_the_gate() {
     let root = workspace_root();
-    for trainer in ["qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"] {
+    for trainer in TRAINER_FILES {
         let rel = format!("crates/quadrants/src/{trainer}");
         let mut source = fs::read_to_string(root.join(&rel)).expect("trainer source readable");
         assert!(fired_rules(&rel, &source).is_empty(), "{rel} must start clean");
@@ -161,7 +167,7 @@ fn injected_rank_conditional_collective_fails_the_gate() {
 #[test]
 fn injected_hashmap_drain_fails_the_gate() {
     let root = workspace_root();
-    for trainer in ["qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"] {
+    for trainer in TRAINER_FILES {
         let rel = format!("crates/quadrants/src/{trainer}");
         let mut source = fs::read_to_string(root.join(&rel)).expect("trainer source readable");
         source.push_str(

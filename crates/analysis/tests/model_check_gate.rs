@@ -126,7 +126,12 @@ fn units_cover_collectives_and_trainers() {
     ] {
         assert!(verified.contains(&(path, name)), "no verified schedule for {path}::{name}");
     }
+    assert!(
+        verified.contains(&("crates/quadrants/src/driver.rs", "grow")),
+        "the boosting driver's schedule is not verified"
+    );
     for path in [
+        "crates/quadrants/src/driver.rs",
         "crates/quadrants/src/qd1.rs",
         "crates/quadrants/src/qd2.rs",
         "crates/quadrants/src/qd3.rs",
@@ -170,7 +175,9 @@ fn rules_at(files: &[(String, String)], rel: &str) -> BTreeSet<String> {
 #[test]
 fn injected_rank_conditional_collective_fails_the_model_check() {
     let root = workspace_root();
-    for trainer in ["qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"] {
+    for trainer in
+        ["driver.rs", "qd1.rs", "qd2.rs", "qd3.rs", "qd4.rs", "yggdrasil.rs", "featpar.rs"]
+    {
         let rel = format!("crates/quadrants/src/{trainer}");
         let files = mutated_workspace(&root, &rel, |src| {
             let mut s = src.to_string();
@@ -190,6 +197,32 @@ fn injected_rank_conditional_collective_fails_the_model_check() {
             "{rel}: injected divergence not caught; fired {fired:?}"
         );
     }
+}
+
+/// Acceptance check: a data-policy hook call is a rendezvous in the
+/// driver's schedule — calling one on rank 0 only is a divergence, though
+/// the call site names no collective.
+#[test]
+fn rank_conditional_hook_call_fails_the_model_check() {
+    let root = workspace_root();
+    let rel = "crates/quadrants/src/driver.rs";
+    let files = mutated_workspace(&root, rel, |src| {
+        let mut s = src.to_string();
+        s.push_str(
+            "\n\npub fn injected_hook<P: DataPolicy>(ctx: &mut WorkerCtx, policy: &mut P) -> Result<(), CommError> {\n\
+             \x20   if ctx.comm.rank() == 0 {\n\
+             \x20       policy.place(ctx, &[])?;\n\
+             \x20   }\n\
+             \x20   Ok(())\n\
+             }\n",
+        );
+        s
+    });
+    let fired = rules_at(&files, rel);
+    assert!(
+        fired.contains("mc-collective-divergence"),
+        "{rel}: rank-conditional hook call not caught; fired {fired:?}"
+    );
 }
 
 /// Acceptance check: retagging the repartition receive so it no longer

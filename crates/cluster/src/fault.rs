@@ -46,6 +46,12 @@ pub enum CommError {
         /// The configured buffer capacity that was exceeded.
         capacity: usize,
     },
+    /// A peer's frame failed to decode (truncated, length-inflated, or
+    /// inconsistent with what this rank expects at the same protocol step).
+    Malformed {
+        /// Rank whose frame was malformed.
+        from: usize,
+    },
 }
 
 impl std::fmt::Display for CommError {
@@ -62,6 +68,7 @@ impl std::fmt::Display for CommError {
             CommError::PendingOverflow { capacity } => {
                 write!(f, "pending message buffer overflowed its {capacity}-message bound")
             }
+            CommError::Malformed { from } => write!(f, "malformed frame from rank {from}"),
         }
     }
 }

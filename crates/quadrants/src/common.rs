@@ -2,7 +2,7 @@
 
 use gbdt_cluster::stats::ClusterStats;
 use gbdt_core::split::{NodeStats, Split};
-use gbdt_core::tree::{self, Tree};
+use gbdt_core::tree;
 use gbdt_core::{GbdtModel, Parallelism, TrainConfig};
 use serde::{Deserialize, Serialize};
 
@@ -139,20 +139,6 @@ pub fn choose_global_best(candidates: impl IntoIterator<Item = Option<Split>>) -
     best
 }
 
-/// Decision taken for one frontier node after split finding.
-#[derive(Debug, Clone)]
-pub enum NodeDecision {
-    /// Split with the given plan.
-    Split(Split),
-    /// Turn into a leaf (no valid split / too few instances / depth).
-    Leaf,
-}
-
-/// Finalizes a node as a leaf on the tree (Eq. 1 weights × η).
-pub fn set_leaf(tree: &mut Tree, node: u32, stats: &NodeStats, lambda: f64, eta: f64) {
-    tree.set_leaf_from_stats(node, stats, lambda, eta);
-}
-
 /// Per-node gradient sums, ordered by node id. A `BTreeMap` by
 /// construction: frontier contents feed split decisions and (via leaf
 /// weights) the model itself, so no iteration over this map may depend on
@@ -233,11 +219,13 @@ pub fn record_layer_wire_bytes(
     );
 }
 
-/// All-reduces per-class node statistics in place (horizontal root stats).
-pub fn all_reduce_stats(
+/// All-reduces the root's per-class gradient sums in place and returns the
+/// global instance count (horizontal partitioning).
+pub(crate) fn all_reduce_root(
     ctx: &mut gbdt_cluster::WorkerCtx,
     stats: &mut NodeStats,
-) -> Result<(), gbdt_cluster::CommError> {
+    n_local: u64,
+) -> Result<u64, gbdt_cluster::CommError> {
     let c = stats.n_outputs();
     let mut buf = Vec::with_capacity(2 * c);
     buf.extend_from_slice(&stats.grads);
@@ -245,65 +233,20 @@ pub fn all_reduce_stats(
     ctx.comm.all_reduce_f64(&mut buf)?;
     stats.grads.copy_from_slice(&buf[..c]);
     stats.hesses.copy_from_slice(&buf[c..]);
-    Ok(())
+    let mut count = [n_local as f64];
+    ctx.comm.all_reduce_f64(&mut count)?;
+    Ok(count[0] as u64)
 }
 
-/// Per-tree recovery checkpoint every distributed trainer saves at tree
-/// boundaries: the model so far, this worker's raw prediction scores, and
-/// the per-tree timings. Replay resumes at `model.trees.len()`.
-pub type TreeCheckpoint = (GbdtModel, Vec<f64>, Vec<TreeStat>);
-
-/// Restores a surviving [`TreeCheckpoint`] from a crashed attempt into the
-/// trainer's state; returns the tree index to resume from (0 on a fresh
-/// run). Everything not checkpointed (indexes, histogram pools, gradients)
-/// is rebuilt per tree, so replaying the in-flight tree from here is
-/// deterministic.
-pub fn restore_tree_checkpoint(
-    ctx: &gbdt_cluster::WorkerCtx,
-    model: &mut GbdtModel,
-    scores: &mut Vec<f64>,
-    per_tree: &mut Vec<TreeStat>,
-) -> usize {
-    if let Some((m, s, p)) = ctx.load_checkpoint::<TreeCheckpoint>() {
-        *model = m;
-        *scores = s;
-        *per_tree = p;
-    }
-    model.trees.len()
-}
-
-/// Saves the [`TreeCheckpoint`] after a completed tree. Skipped entirely
-/// when no checkpoint store is attached, so fault-free runs pay no clone.
-pub fn save_tree_checkpoint(
-    ctx: &gbdt_cluster::WorkerCtx,
-    model: &GbdtModel,
-    scores: &[f64],
-    per_tree: &[TreeStat],
-) {
-    if ctx.has_checkpoint_store() {
-        ctx.save_checkpoint(&(model.clone(), scores.to_vec(), per_tree.to_vec()));
-    }
-}
-
-/// Tracks per-tree deltas of a worker's computation and communication time.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TreeTracker {
-    last_comp: f64,
-    last_comm: f64,
-}
-
-impl TreeTracker {
-    /// Returns the (comp, comm) delta since the previous call as a
-    /// [`TreeStat`] and advances the baseline.
-    pub fn lap(&mut self, ctx: &gbdt_cluster::WorkerCtx) -> TreeStat {
-        let comp = ctx.stats.comp_total();
-        let comm = ctx.comm.counters().comm_seconds;
-        let stat =
-            TreeStat { comp_seconds: comp - self.last_comp, comm_seconds: comm - self.last_comm };
-        self.last_comp = comp;
-        self.last_comm = comm;
-        stat
-    }
+/// All-reduces this worker's `(left, right)` child counts, one pair per
+/// split, into global ones (horizontal partitioning).
+pub(crate) fn all_reduce_counts(
+    ctx: &mut gbdt_cluster::WorkerCtx,
+    local: &[(usize, usize)],
+) -> Result<Vec<(u64, u64)>, gbdt_cluster::CommError> {
+    let mut buf: Vec<f64> = local.iter().flat_map(|&(l, r)| [l as f64, r as f64]).collect();
+    ctx.comm.all_reduce_f64(&mut buf)?;
+    Ok(buf.chunks_exact(2).map(|p| (p[0] as u64, p[1] as u64)).collect())
 }
 
 #[cfg(test)]

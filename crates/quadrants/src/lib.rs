@@ -8,15 +8,19 @@
 //! | **horizontal** | QD1 (XGBoost) | QD2 (LightGBM, DimBoost) |
 //! | **vertical** | QD3 (Yggdrasil) | QD4 (**Vero**, this work) |
 //!
-//! Every trainer here shares the identical GBDT mathematics from
-//! `gbdt-core` (histograms, Eq. 1/2 split finding, losses) and the identical
-//! cluster substrate from `gbdt-cluster`; they differ *only* in how the data
-//! is partitioned, stored, indexed, and which communication pattern moves
-//! histograms or placements — which is precisely the controlled comparison
-//! of the paper's §5.2.
+//! Every trainer here runs the same boosting loop (`driver`) over the
+//! identical GBDT mathematics from `gbdt-core` (histograms, Eq. 1/2 split
+//! finding, losses) and the identical cluster substrate from
+//! `gbdt-cluster`; a trainer is only a *data policy*: how the data is
+//! partitioned, stored and indexed, and which communication pattern moves
+//! histograms or placements — precisely the controlled comparison of the
+//! paper's §5.2.
 //!
-//! * [`single`] — single-node reference trainer (ground truth for the
-//!   cross-quadrant equivalence tests).
+//! * `driver` — the one layer-wise boosting loop, generic over a data
+//!   policy, plus the shared split exchange and the vertical policy
+//!   (DESIGN.md item 16).
+//! * [`single`] — single-node reference trainer, kept outside the driver
+//!   as the ground truth for the cross-quadrant equivalence tests.
 //! * [`qd1`] — horizontal + column-store, instance-to-node index, all-reduce.
 //! * [`qd2`] — horizontal + row-store, node-to-instance index, histogram
 //!   subtraction; aggregation: all-reduce, reduce-scatter (LightGBM) or
@@ -27,13 +31,14 @@
 //!   node-to-instance index (Appendix C).
 //! * [`featpar`] — LightGBM's feature-parallel mode: full replica per
 //!   worker (Appendix D).
-//! * [`common`] — the shared growth engine pieces: build/subtract
-//!   scheduling, leaf finalization, placement application, result types.
+//! * [`common`] — result types, subtraction planning, frontier
+//!   bookkeeping, horizontal all-reduces.
 //! * [`advisor`] — the paper's §6 future work, implemented: an executable
 //!   §3 cost model that recommends a quadrant for a workload/environment.
 
 pub mod advisor;
 pub mod common;
+mod driver;
 pub mod featpar;
 pub mod qd1;
 pub mod qd2;

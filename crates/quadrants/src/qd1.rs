@@ -11,16 +11,17 @@
 //! split redundantly (the leader-based variant has identical traffic shape).
 
 use crate::common::{
-    all_reduce_stats, record_layer_wire_bytes, restore_tree_checkpoint, save_tree_checkpoint,
-    shard_dataset, worker_threads, DistTrainResult, Frontier, TreeStat, TreeTracker,
+    all_reduce_counts, all_reduce_root, record_layer_wire_bytes, shard_dataset, worker_threads,
+    DistTrainResult, Frontier,
 };
+use crate::driver::{self, leaf_values, DataPolicy};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, histogram_size_bytes, NodeHistogram};
 use gbdt_core::indexes::InstanceToNodeIndex;
 use gbdt_core::parallel::Meter;
 use gbdt_core::split::{best_split_parallel, NodeStats, Split, SplitParams};
-use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, GradBuffer, TrainConfig};
+use gbdt_core::tree::Tree;
+use gbdt_core::{BinCuts, GradBuffer, QuantileSketch, TrainConfig};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::{ColumnStore, InstanceId};
 use gbdt_partition::transform::build_global_cuts;
@@ -28,182 +29,132 @@ use gbdt_partition::HorizontalPartition;
 
 /// Trains with QD1 on `cluster.world` workers.
 pub fn train(cluster: &Cluster, dataset: &Dataset, config: &TrainConfig) -> DistTrainResult {
-    config.validate().expect("invalid training config");
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
-    let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = shard_dataset(dataset, partition, ctx.rank());
-        train_worker(ctx, &shard, config)
-    });
-    let mut models = Vec::new();
-    let mut per_worker_trees = Vec::new();
-    for (model, trees) in outputs {
-        models.push(model);
-        per_worker_trees.push(trees);
-    }
-    DistTrainResult {
-        model: models.swap_remove(0),
-        per_tree: crate::common::merge_tree_stats(&per_worker_trees),
-        stats,
+    driver::train(cluster, config, |ctx| {
+        Qd1::setup(ctx, shard_dataset(dataset, partition, ctx.rank()), config)
+    })
+}
+
+/// A worker's row shard, binned column-wise, with an instance-to-node index.
+struct Qd1<'a> {
+    config: &'a TrainConfig,
+    params: SplitParams,
+    threads: usize,
+    columns: ColumnStore,
+    index: InstanceToNodeIndex,
+    /// The current layer's histograms, slot `node - layer_base`.
+    hists: Vec<Option<NodeHistogram>>,
+    layer_base: u32,
+}
+
+impl<'a> Qd1<'a> {
+    fn setup(
+        ctx: &mut WorkerCtx,
+        shard: Dataset,
+        config: &'a TrainConfig,
+    ) -> Result<(Self, BinCuts, Vec<f32>), CommError> {
+        let (cuts, _) = build_global_cuts(ctx, &shard, config.n_bins, QuantileSketch::DEFAULT_CAP)?;
+        let columns: ColumnStore =
+            ctx.time(Phase::Sketch, || cuts.apply_store(&shard, config.storage).to_columns());
+        ctx.stats.data_bytes = columns.heap_bytes() as u64;
+        let index = InstanceToNodeIndex::new(columns.n_rows());
+        ctx.stats.index_bytes = index.heap_bytes() as u64;
+        let policy = Qd1 {
+            config,
+            params: SplitParams::from_config(config),
+            threads: worker_threads(config, ctx.world()),
+            columns,
+            index,
+            hists: Vec::new(),
+            layer_base: 0,
+        };
+        Ok((policy, cuts, shard.labels))
     }
 }
 
-fn train_worker(
-    ctx: &mut WorkerCtx,
-    shard: &Dataset,
-    config: &TrainConfig,
-) -> Result<(GbdtModel, Vec<TreeStat>), CommError> {
-    let d = shard.n_features();
-    let q = config.n_bins;
-    let c = config.n_outputs();
-    let params = SplitParams::from_config(config);
-    let objective = config.objective;
-    let threads = worker_threads(config, ctx.world());
-    let meter = Meter::default();
-    ctx.stats.threads = threads as u64;
-
-    let (cuts, _) = build_global_cuts(ctx, shard, q, gbdt_core::QuantileSketch::DEFAULT_CAP)?;
-    let columns: ColumnStore =
-        ctx.time(Phase::Sketch, || cuts.apply_store(shard, config.storage).to_columns());
-    ctx.stats.data_bytes = columns.heap_bytes() as u64;
-
-    let n_local = columns.n_rows();
-    let mut model = GbdtModel::new(objective, config.learning_rate, d);
-    let mut scores = vec![0.0f64; n_local * c];
-    for chunk in scores.chunks_mut(c) {
-        chunk.copy_from_slice(&model.init_scores);
+impl DataPolicy for Qd1<'_> {
+    fn global_root(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        stats: &mut NodeStats,
+        n_local: u64,
+    ) -> Result<u64, CommError> {
+        all_reduce_root(ctx, stats, n_local)
     }
-    let mut grads = GradBuffer::new(n_local, c);
-    let mut index = InstanceToNodeIndex::new(n_local);
-    ctx.stats.index_bytes = index.heap_bytes() as u64;
 
-    let mut tracker = TreeTracker::default();
-    tracker.lap(ctx);
-    let mut per_tree = Vec::with_capacity(config.n_trees);
-    let mut hist_peak = 0usize;
-
-    let start_tree = restore_tree_checkpoint(ctx, &mut model, &mut scores, &mut per_tree);
-    for t in start_tree..config.n_trees {
-        ctx.time(Phase::Gradients, || {
-            objective.compute_gradients(&scores, &shard.labels, &mut grads)
+    fn histograms(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        layer: usize,
+        frontier: &Frontier,
+        grads: &GradBuffer,
+        meter: &Meter,
+    ) -> Result<(), CommError> {
+        // One column pass builds the histograms of the WHOLE layer — no
+        // subtraction, every pair of the shard is touched.
+        let (d, q, c) = (self.columns.n_features(), self.config.n_bins, self.config.n_outputs());
+        self.layer_base = (1u32 << layer) - 1;
+        self.hists.clear();
+        self.hists.resize_with(1usize << layer, || None);
+        for &node in &frontier.nodes {
+            self.hists[(node - self.layer_base) as usize] = Some(NodeHistogram::new(d, q, c));
+        }
+        let live = (frontier.nodes.len() * histogram_size_bytes(d, q, c)) as u64;
+        ctx.stats.histogram_peak_bytes = ctx.stats.histogram_peak_bytes.max(live);
+        ctx.time(Phase::HistogramBuild, || {
+            build_layer_histograms(
+                &self.columns,
+                grads,
+                &self.index,
+                &mut self.hists,
+                self.layer_base,
+                self.threads,
+                meter,
+            );
         });
-        let mut tree = Tree::new(config.n_layers, c);
 
-        let mut root_stats = NodeStats::zero(c);
-        ctx.time(Phase::Gradients, || {
-            for i in 0..n_local {
-                let (g, h) = grads.instance(i);
-                for k in 0..c {
-                    root_stats.grads[k] += g[k];
-                    root_stats.hesses[k] += h[k];
-                }
-            }
-        });
-        all_reduce_stats(ctx, &mut root_stats)?;
-        let mut count_buf = vec![n_local as f64];
-        ctx.comm.all_reduce_f64(&mut count_buf)?;
-        let mut frontier = Frontier::root(root_stats, count_buf[0] as u64);
-        let mut leaves: Vec<u32> = Vec::new();
+        // All-reduce each node's histogram under the configured wire codec;
+        // every worker then finds the same best split. Control traffic
+        // (counts, root stats) stays dense — only histogram payloads are
+        // codec-mediated.
+        let wire_before = ctx.comm.counters();
+        for &node in &frontier.nodes {
+            let hist = self.hists[(node - self.layer_base) as usize].as_mut().expect("allocated");
+            ctx.comm.all_reduce_f64_codec(self.config.wire, hist.as_mut_slice())?;
+        }
+        record_layer_wire_bytes(ctx, layer, wire_before);
+        Ok(())
+    }
 
-        for layer in 0..config.n_layers {
-            ctx.fault_point(t, layer);
-            if frontier.nodes.is_empty() {
-                break;
-            }
-            if layer + 1 == config.n_layers {
-                for &node in &frontier.nodes {
-                    tree.set_leaf_from_stats(
-                        node,
-                        &frontier.stats[&node],
-                        params.lambda,
-                        config.learning_rate,
-                    );
-                    leaves.push(node);
-                }
-                break;
-            }
+    fn best_split(&self, cuts: &BinCuts, node: u32, stats: &NodeStats) -> Option<Split> {
+        let hist = self.hists[(node - self.layer_base) as usize].as_ref().expect("allocated");
+        best_split_parallel(hist, stats, &self.params, |f| cuts.n_bins(f), |f| f, self.threads)
+    }
 
-            // One column pass builds the histograms of the WHOLE layer —
-            // no subtraction, every pair of the shard is touched.
-            let layer_base = (1u32 << layer) - 1;
-            let layer_len = 1usize << layer;
-            let mut hists: Vec<Option<NodeHistogram>> = (0..layer_len).map(|_| None).collect();
-            for &node in &frontier.nodes {
-                hists[(node - layer_base) as usize] = Some(NodeHistogram::new(d, q, c));
-            }
-            hist_peak = hist_peak.max(frontier.nodes.len() * histogram_size_bytes(d, q, c));
-            ctx.time(Phase::HistogramBuild, || {
-                build_layer_histograms(
-                    &columns, &grads, &index, &mut hists, layer_base, threads, &meter,
-                );
-            });
+    fn resolve_splits(
+        &mut self,
+        _ctx: &mut WorkerCtx,
+        locals: Vec<Option<Split>>,
+    ) -> Result<Vec<Option<Split>>, CommError> {
+        Ok(locals) // every worker searched the same global histograms
+    }
 
-            // All-reduce each node's histogram under the configured wire
-            // codec; every worker then finds the same best split. Control
-            // traffic (counts, root stats) stays dense — only histogram
-            // payloads are codec-mediated.
-            let wire_before = ctx.comm.counters();
-            for &node in &frontier.nodes {
-                let hist = hists[(node - layer_base) as usize].as_mut().expect("allocated");
-                ctx.comm.all_reduce_f64_codec(config.wire, hist.as_mut_slice())?;
-            }
-            record_layer_wire_bytes(ctx, layer, wire_before);
-
-            let decisions: Vec<Option<Split>> = ctx.time(Phase::SplitFind, || {
-                frontier
-                    .nodes
-                    .iter()
-                    .map(|&node| {
-                        if frontier.counts[&node] < config.min_node_instances as u64 {
-                            return None;
-                        }
-                        let hist =
-                            hists[(node - layer_base) as usize].as_ref().expect("allocated");
-                        best_split_parallel(
-                            hist,
-                            &frontier.stats[&node],
-                            &params,
-                            |f| cuts.n_bins(f),
-                            |f| f,
-                            threads,
-                        )
-                    })
-                    .collect()
-            });
-
-            // Node splitting: placements are resolved by scanning the split
-            // feature's column and defaulting the absent instances.
-            let mut next = Frontier::default();
-            let mut split_nodes: Vec<(u32, Split)> = Vec::new();
-            for (&node, decision) in frontier.nodes.iter().zip(decisions) {
-                match decision {
-                    Some(split) => {
-                        tree.set_internal_with_gain(
-                            node,
-                            split.feature,
-                            split.bin,
-                            cuts.threshold(split.feature, split.bin),
-                            split.default_left,
-                            split.gain,
-                        );
-                        split_nodes.push((node, split));
-                    }
-                    None => {
-                        tree.set_leaf_from_stats(
-                            node,
-                            &frontier.stats[&node],
-                            params.lambda,
-                            config.learning_rate,
-                        );
-                        leaves.push(node);
-                    }
-                }
-            }
-            let mut counts = vec![0f64; split_nodes.len() * 2];
-            ctx.time(Phase::NodeSplit, || {
-                let mut went_left = vec![false; n_local];
-                for (k, (node, split)) in split_nodes.iter().enumerate() {
+    /// Placements are resolved by scanning the split feature's column and
+    /// defaulting the absent instances.
+    fn place(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        splits: &[(u32, Split)],
+    ) -> Result<Vec<(u64, u64)>, CommError> {
+        let (columns, index) = (&self.columns, &mut self.index);
+        let local: Vec<(usize, usize)> = ctx.time(Phase::NodeSplit, || {
+            let n = columns.n_rows();
+            let mut went_left = vec![false; n];
+            splits
+                .iter()
+                .map(|(node, split)| {
                     // Default placement, then overrides from the column.
-                    for i in 0..n_local as InstanceId {
+                    for i in 0..n as InstanceId {
                         if index.node_of(i) == *node {
                             went_left[i as usize] = split.default_left;
                         }
@@ -213,53 +164,27 @@ fn train_worker(
                             went_left[i as usize] = b <= split.bin;
                         }
                     });
-                    let (lc, rc) = index.split(*node, |i| went_left[i as usize]);
-                    counts[2 * k] = lc as f64;
-                    counts[2 * k + 1] = rc as f64;
-                }
-            });
-            ctx.comm.all_reduce_f64(&mut counts)?;
-            for (k, (node, split)) in split_nodes.into_iter().enumerate() {
-                Frontier::push_children(
-                    &mut next,
-                    node,
-                    &split,
-                    counts[2 * k] as u64,
-                    counts[2 * k + 1] as u64,
-                );
-            }
-            frontier = next;
-        }
-
-        // Update local scores: every instance's final node is a leaf.
-        ctx.time(Phase::Predict, || {
-            let mut leaf_values: std::collections::BTreeMap<u32, Vec<f64>> =
-                std::collections::BTreeMap::new();
-            for &leaf in &leaves {
-                if let tree::NodeKind::Leaf { values } = &tree.node(leaf).expect("leaf set").kind
-                {
-                    leaf_values.insert(leaf, values.clone());
-                }
-            }
-            for i in 0..n_local {
-                let node = index.node_of(i as InstanceId);
-                let values = &leaf_values[&node];
-                let base = i * c;
-                for (k, &v) in values.iter().enumerate() {
-                    scores[base + k] += v;
-                }
-            }
+                    index.split(*node, |i| went_left[i as usize])
+                })
+                .collect()
         });
-
-        index.reset();
-        model.trees.push(tree);
-        per_tree.push(tracker.lap(ctx));
-        save_tree_checkpoint(ctx, &model, &scores, &per_tree);
+        all_reduce_counts(ctx, &local)
     }
-    ctx.stats.histogram_peak_bytes = hist_peak as u64;
-    ctx.stats.parallel_wall_seconds = meter.wall_seconds();
-    ctx.stats.parallel_busy_seconds = meter.busy_seconds();
-    Ok((model, per_tree))
+
+    /// Every instance's final node is a leaf.
+    fn add_leaf_scores(&self, tree: &Tree, _leaves: &[u32], scores: &mut [f64]) {
+        let c = self.config.n_outputs();
+        for (i, row) in scores.chunks_exact_mut(c).enumerate() {
+            let values = leaf_values(tree, self.index.node_of(i as InstanceId));
+            for (s, &v) in row.iter_mut().zip(values) {
+                *s += v;
+            }
+        }
+    }
+
+    fn end_tree(&mut self, _ctx: &mut WorkerCtx) {
+        self.index.reset();
+    }
 }
 
 /// One linear pass over the columns builds the histograms of a WHOLE layer:

@@ -15,9 +15,11 @@
 //! server-side split finding).
 
 use crate::common::{
-    all_reduce_stats, choose_global_best, record_layer_wire_bytes, restore_tree_checkpoint,
-    save_tree_checkpoint, shard_dataset, subtraction_plan, worker_threads, Aggregation,
-    DistTrainResult, Frontier, TreeStat, TreeTracker,
+    all_reduce_counts, all_reduce_root, record_layer_wire_bytes, shard_dataset, worker_threads,
+    Aggregation, DistTrainResult, Frontier,
+};
+use crate::driver::{
+    self, add_leaf_scores, exchange_local_bests, subtraction_schedule, DataPolicy,
 };
 use gbdt_cluster::collectives::segment_bounds;
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
@@ -25,9 +27,9 @@ use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::kernels;
 use gbdt_core::parallel::{self, Meter};
-use gbdt_core::split::{best_split_in_range_parallel, best_split_parallel, NodeStats, Split, SplitParams};
-use gbdt_core::tree::{self, Tree};
-use gbdt_core::{GbdtModel, GradBuffer, TrainConfig};
+use gbdt_core::split::{best_split_in_range_parallel, NodeStats, Split, SplitParams};
+use gbdt_core::tree::Tree;
+use gbdt_core::{BinCuts, GradBuffer, QuantileSketch, TrainConfig};
 use gbdt_data::dataset::Dataset;
 use gbdt_data::BinnedStore;
 use gbdt_partition::transform::build_global_cuts;
@@ -40,356 +42,203 @@ pub fn train(
     config: &TrainConfig,
     aggregation: Aggregation,
 ) -> DistTrainResult {
-    config.validate().expect("invalid training config");
     let partition = HorizontalPartition::new(dataset.n_instances(), cluster.world);
-    let (outputs, stats) = cluster.run_recoverable(|ctx| {
-        let shard = shard_dataset(dataset, partition, ctx.rank());
-        train_worker(ctx, &shard, config, aggregation)
-    });
-    let mut models = Vec::new();
-    let mut per_worker_trees = Vec::new();
-    for (model, trees) in outputs {
-        models.push(model);
-        per_worker_trees.push(trees);
-    }
-    let model = models.swap_remove(0);
-    DistTrainResult { model, per_tree: crate::common::merge_tree_stats(&per_worker_trees), stats }
+    driver::train(cluster, config, |ctx| {
+        Qd2::setup(ctx, shard_dataset(dataset, partition, ctx.rank()), config, aggregation)
+    })
 }
 
-fn train_worker(
-    ctx: &mut WorkerCtx,
-    shard: &Dataset,
-    config: &TrainConfig,
+/// A worker's row shard, binned row-wise, with a node-to-instance index.
+struct Qd2<'a> {
+    config: &'a TrainConfig,
     aggregation: Aggregation,
-) -> Result<(GbdtModel, Vec<TreeStat>), CommError> {
-    let d = shard.n_features();
-    let q = config.n_bins;
-    let c = config.n_outputs();
-    let params = SplitParams::from_config(config);
-    let objective = config.objective;
-    let world = ctx.world();
-    let rank = ctx.rank();
-    let threads = worker_threads(config, world);
-    let meter = Meter::default();
-    ctx.stats.threads = threads as u64;
+    params: SplitParams,
+    threads: usize,
+    binned: BinnedStore,
+    index: NodeToInstanceIndex,
+    pool: HistogramPool,
+    /// Per-worker histogram-element ranges of the feature shards that
+    /// reduce-scatter / parameter-server aggregation reduces
+    /// (feature-aligned).
+    elem_ranges: Vec<(usize, usize)>,
+    /// The features whose histograms are global on this worker: all of
+    /// them after an all-reduce, its own shard after a sharded reduction.
+    global_features: std::ops::Range<u32>,
+}
 
-    // Global candidate splits (local sketches merged across the cluster).
-    let (cuts, _) = build_global_cuts(ctx, shard, q, gbdt_core::QuantileSketch::DEFAULT_CAP)?;
-    let binned = ctx.time(Phase::Sketch, || cuts.apply_store(shard, config.storage));
-    ctx.stats.data_bytes = binned.heap_bytes() as u64;
-
-    let n_local = binned.n_rows();
-    let mut model = GbdtModel::new(objective, config.learning_rate, d);
-    let mut scores = vec![0.0f64; n_local * c];
-    for chunk in scores.chunks_mut(c) {
-        chunk.copy_from_slice(&model.init_scores);
+impl<'a> Qd2<'a> {
+    fn setup(
+        ctx: &mut WorkerCtx,
+        shard: Dataset,
+        config: &'a TrainConfig,
+        aggregation: Aggregation,
+    ) -> Result<(Self, BinCuts, Vec<f32>), CommError> {
+        let (d, q, c) = (shard.n_features(), config.n_bins, config.n_outputs());
+        // Global candidate splits (local sketches merged across the cluster).
+        let (cuts, _) = build_global_cuts(ctx, &shard, q, QuantileSketch::DEFAULT_CAP)?;
+        let binned = ctx.time(Phase::Sketch, || cuts.apply_store(&shard, config.storage));
+        ctx.stats.data_bytes = binned.heap_bytes() as u64;
+        let index = NodeToInstanceIndex::new(binned.n_rows());
+        ctx.stats.index_bytes = index.heap_bytes() as u64;
+        let (world, rank) = (ctx.world(), ctx.rank());
+        let (feat_lo, feat_hi) = match aggregation {
+            Aggregation::AllReduce => (0, d),
+            Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                segment_bounds(d, world, rank)
+            }
+        };
+        let elem_ranges = (0..world)
+            .map(|w| {
+                let (lo, hi) = segment_bounds(d, world, w);
+                (lo * q * c * 2, hi * q * c * 2)
+            })
+            .collect();
+        let policy = Qd2 {
+            config,
+            aggregation,
+            params: SplitParams::from_config(config),
+            threads: worker_threads(config, world),
+            binned,
+            index,
+            pool: HistogramPool::new(d, q, c),
+            elem_ranges,
+            global_features: feat_lo as u32..feat_hi as u32,
+        };
+        Ok((policy, cuts, shard.labels))
     }
-    let mut grads = GradBuffer::new(n_local, c);
-    let mut index = NodeToInstanceIndex::new(n_local);
-    let mut pool = HistogramPool::new(d, q, c);
-    ctx.stats.index_bytes = index.heap_bytes() as u64;
+}
 
-    // Feature shard for reduce-scatter / parameter-server aggregation, in
-    // histogram-element units (feature-aligned).
-    let (feat_lo, feat_hi) = segment_bounds(d, world, rank);
-    let elem_ranges: Vec<(usize, usize)> = (0..world)
-        .map(|w| {
-            let (lo, hi) = segment_bounds(d, world, w);
-            (lo * q * c * 2, hi * q * c * 2)
-        })
-        .collect();
+impl DataPolicy for Qd2<'_> {
+    fn global_root(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        stats: &mut NodeStats,
+        n_local: u64,
+    ) -> Result<u64, CommError> {
+        all_reduce_root(ctx, stats, n_local)
+    }
 
-    let mut tracker = TreeTracker::default();
-    tracker.lap(ctx); // exclude sketch/binning setup from the first tree's cost
-    let mut per_tree = Vec::with_capacity(config.n_trees);
-
-    let start_tree = restore_tree_checkpoint(ctx, &mut model, &mut scores, &mut per_tree);
-    for t in start_tree..config.n_trees {
-        ctx.time(Phase::Gradients, || {
-            objective.compute_gradients(&scores, &shard.labels, &mut grads)
-        });
-        let mut tree = Tree::new(config.n_layers, c);
-
-        // Global root statistics and count.
-        let mut root_stats = NodeStats::zero(c);
-        ctx.time(Phase::Gradients, || {
-            let mut g = vec![0.0; c];
-            let mut h = vec![0.0; c];
-            grads.sum_instances(index.instances(0), &mut g, &mut h);
-            root_stats.grads.copy_from_slice(&g);
-            root_stats.hesses.copy_from_slice(&h);
-        });
-        all_reduce_stats(ctx, &mut root_stats)?;
-        let mut count_buf = vec![n_local as f64];
-        ctx.comm.all_reduce_f64(&mut count_buf)?;
-        let mut frontier = Frontier::root(root_stats, count_buf[0] as u64);
-        let mut leaves: Vec<u32> = Vec::new();
-
-        for layer in 0..config.n_layers {
-            ctx.fault_point(t, layer);
-            if frontier.nodes.is_empty() {
-                break;
-            }
-            if layer + 1 == config.n_layers {
-                for &node in &frontier.nodes {
-                    tree.set_leaf_from_stats(
-                        node,
-                        &frontier.stats[&node],
-                        params.lambda,
-                        config.learning_rate,
-                    );
-                    leaves.push(node);
-                }
-                break;
-            }
-
-            // Local histogram construction for the build set (smaller
-            // sibling; the other is derived by subtraction AFTER
-            // aggregation, so pool histograms are always global).
-            let mut build_nodes: Vec<u32> = Vec::new();
-            let mut derive: Vec<(u32, u32, u32)> = Vec::new(); // (parent, built, sibling)
-            if layer == 0 {
-                build_nodes.push(0);
-            } else {
-                let mut k = 0;
-                while k < frontier.nodes.len() {
-                    let (l, r) = (frontier.nodes[k], frontier.nodes[k + 1]);
-                    let (build_left, _) =
-                        subtraction_plan(frontier.counts[&l], frontier.counts[&r]);
-                    let (b, s) = if build_left { (l, r) } else { (r, l) };
-                    build_nodes.push(b);
-                    derive.push((tree::parent(l), b, s));
-                    k += 2;
-                }
-            }
-            ctx.time(Phase::HistogramBuild, || {
-                for &node in &build_nodes {
-                    build_histogram(&mut pool, node, &binned, &grads, &index, threads, config.kernel, &meter);
-                }
-            });
-
-            // Aggregate local histograms into global ones under the
-            // configured wire codec (control traffic stays dense).
-            let wire_before = ctx.comm.counters();
-            match aggregation {
-                Aggregation::AllReduce => {
-                    for &node in &build_nodes {
-                        let hist = pool.get_mut(node).expect("just built");
-                        ctx.comm.all_reduce_f64_codec(config.wire, hist.as_mut_slice())?;
-                    }
-                }
-                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                    for &node in &build_nodes {
-                        let hist = pool.get_mut(node).expect("just built");
-                        let reduced = ctx.comm.ps_push_and_reduce_codec(
-                            config.wire,
-                            hist.as_slice(),
-                            &elem_ranges,
-                        )?;
-                        let (lo, hi) = elem_ranges[rank];
-                        hist.as_mut_slice()[lo..hi].copy_from_slice(&reduced);
-                    }
-                }
-            }
-            record_layer_wire_bytes(ctx, layer, wire_before);
-            ctx.time(Phase::HistogramBuild, || {
-                for &(parent, built, sibling) in &derive {
-                    pool.subtract_sibling(parent, built, sibling);
-                }
-            });
-            ctx.stats.histogram_peak_bytes = pool.peak_bytes() as u64;
-
-            // Split finding.
-            let decisions: Vec<Option<Split>> = match aggregation {
-                Aggregation::AllReduce => ctx.time(Phase::SplitFind, || {
-                    frontier
-                        .nodes
-                        .iter()
-                        .map(|&node| {
-                            if frontier.counts[&node] < config.min_node_instances as u64 {
-                                return None;
-                            }
-                            best_split_parallel(
-                                pool.get(node).expect("histogram live"),
-                                &frontier.stats[&node],
-                                &params,
-                                |f| cuts.n_bins(f),
-                                |f| f,
-                                threads,
-                            )
-                        })
-                        .collect()
-                }),
-                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                    // Local best within my feature slice, then exchange.
-                    let locals: Vec<Option<Split>> = ctx.time(Phase::SplitFind, || {
-                        frontier
-                            .nodes
-                            .iter()
-                            .map(|&node| {
-                                if frontier.counts[&node] < config.min_node_instances as u64 {
-                                    return None;
-                                }
-                                best_split_in_range_parallel(
-                                    pool.get(node).expect("histogram live"),
-                                    feat_lo as u32..feat_hi as u32,
-                                    &frontier.stats[&node],
-                                    &params,
-                                    |f| cuts.n_bins(f),
-                                    |f| f,
-                                    threads,
-                                )
-                            })
-                            .collect()
-                    });
-                    exchange_local_bests(ctx, &locals)?
-                }
-            };
-
-            // Node splitting + global child counts.
-            let mut next = Frontier::default();
-            let mut split_nodes: Vec<(u32, Split)> = Vec::new();
-            for (&node, decision) in frontier.nodes.iter().zip(decisions) {
-                match decision {
-                    Some(split) => {
-                        tree.set_internal_with_gain(
-                            node,
-                            split.feature,
-                            split.bin,
-                            cuts.threshold(split.feature, split.bin),
-                            split.default_left,
-                            split.gain,
-                        );
-                        split_nodes.push((node, split));
-                    }
-                    None => {
-                        tree.set_leaf_from_stats(
-                            node,
-                            &frontier.stats[&node],
-                            params.lambda,
-                            config.learning_rate,
-                        );
-                        leaves.push(node);
-                        pool.release(node);
-                    }
-                }
-            }
-            let mut counts = vec![0f64; split_nodes.len() * 2];
-            ctx.time(Phase::NodeSplit, || {
-                for (k, (node, split)) in split_nodes.iter().enumerate() {
-                    let (lc, rc) = index.split(*node, |i| {
-                        match binned.get(i as usize, split.feature) {
-                            Some(b) => b <= split.bin,
-                            None => split.default_left,
-                        }
-                    });
-                    counts[2 * k] = lc as f64;
-                    counts[2 * k + 1] = rc as f64;
-                }
-            });
-            ctx.comm.all_reduce_f64(&mut counts)?;
-            for (k, (node, split)) in split_nodes.into_iter().enumerate() {
-                Frontier::push_children(
-                    &mut next,
+    fn histograms(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        layer: usize,
+        frontier: &Frontier,
+        grads: &GradBuffer,
+        meter: &Meter,
+    ) -> Result<(), CommError> {
+        // Local histograms for the build set only; siblings are derived by
+        // subtraction AFTER aggregation, so pool histograms are always
+        // global.
+        let schedule = subtraction_schedule(layer, frontier);
+        ctx.time(Phase::HistogramBuild, || {
+            for &(node, _) in &schedule {
+                parallel::build_histogram_chunked(
+                    &mut self.pool,
                     node,
-                    &split,
-                    counts[2 * k] as u64,
-                    counts[2 * k + 1] as u64,
+                    self.index.instances(node),
+                    self.threads,
+                    meter,
+                    |hist, chunk| {
+                        kernels::fill_rows_chunk(
+                            hist,
+                            chunk,
+                            &self.binned,
+                            grads,
+                            self.config.kernel,
+                        )
+                    },
                 );
             }
-            frontier = next;
-        }
+        });
 
-        // Update local scores from leaves.
-        ctx.time(Phase::Predict, || {
-            for &leaf in &leaves {
-                let values = match &tree.node(leaf).expect("leaf set").kind {
-                    tree::NodeKind::Leaf { values } => values.clone(),
-                    _ => unreachable!("leaves vector only holds leaf nodes"),
-                };
-                for &i in index.instances(leaf) {
-                    let base = i as usize * c;
-                    for (k, &v) in values.iter().enumerate() {
-                        scores[base + k] += v;
-                    }
+        // Aggregate under the configured wire codec (control traffic stays
+        // dense).
+        let wire_before = ctx.comm.counters();
+        for &(node, _) in &schedule {
+            let hist = self.pool.get_mut(node).expect("just built");
+            match self.aggregation {
+                Aggregation::AllReduce => {
+                    ctx.comm.all_reduce_f64_codec(self.config.wire, hist.as_mut_slice())?;
+                }
+                Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                    let reduced = ctx.comm.ps_push_and_reduce_codec(
+                        self.config.wire,
+                        hist.as_slice(),
+                        &self.elem_ranges,
+                    )?;
+                    let (lo, hi) = self.elem_ranges[ctx.rank()];
+                    hist.as_mut_slice()[lo..hi].copy_from_slice(&reduced);
+                }
+            }
+        }
+        record_layer_wire_bytes(ctx, layer, wire_before);
+        ctx.time(Phase::HistogramBuild, || {
+            for &(built, derive) in &schedule {
+                if let Some((parent, sibling)) = derive {
+                    self.pool.subtract_sibling(parent, built, sibling);
                 }
             }
         });
-
-        pool.release_all();
-        index.reset();
-        model.trees.push(tree);
-        per_tree.push(tracker.lap(ctx));
-        save_tree_checkpoint(ctx, &model, &scores, &per_tree);
+        ctx.stats.histogram_peak_bytes = self.pool.peak_bytes() as u64;
+        Ok(())
     }
-    ctx.stats.parallel_wall_seconds = meter.wall_seconds();
-    ctx.stats.parallel_busy_seconds = meter.busy_seconds();
-    Ok((model, per_tree))
-}
 
-/// All-gathers per-node local best splits and resolves each node's global
-/// best deterministically. Shared by every trainer that finds splits on
-/// feature subsets (QD2-sharded, QD3, QD4, feature-parallel).
-pub(crate) fn exchange_local_bests(
-    ctx: &mut WorkerCtx,
-    locals: &[Option<Split>],
-) -> Result<Vec<Option<Split>>, CommError> {
-    // Encode: per node, u8 present + length-prefixed split bytes.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(locals.len() as u32).to_le_bytes());
-    for s in locals {
-        match s {
-            Some(split) => {
-                let bytes = split.encode_bytes();
-                payload.push(1);
-                payload.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                payload.extend_from_slice(&bytes);
-            }
-            None => payload.push(0),
-        }
+    fn best_split(&self, cuts: &BinCuts, node: u32, stats: &NodeStats) -> Option<Split> {
+        best_split_in_range_parallel(
+            self.pool.get(node).expect("histogram live"),
+            self.global_features.clone(),
+            stats,
+            &self.params,
+            |f| cuts.n_bins(f),
+            |f| f,
+            self.threads,
+        )
     }
-    let gathered = ctx.comm.all_gather(bytes::Bytes::from(payload))?;
-    let mut per_worker: Vec<Vec<Option<Split>>> = Vec::with_capacity(gathered.len());
-    for buf in gathered {
-        let mut pos = 0usize;
-        let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        pos += 4;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let present = buf[pos];
-            pos += 1;
-            if present == 1 {
-                let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                let split = Split::decode_bytes(&buf[pos..pos + len])
-                    .expect("peer sends well-formed splits");
-                pos += len;
-                list.push(Some(split));
-            } else {
-                list.push(None);
+
+    fn resolve_splits(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        locals: Vec<Option<Split>>,
+    ) -> Result<Vec<Option<Split>>, CommError> {
+        match self.aggregation {
+            Aggregation::AllReduce => Ok(locals),
+            Aggregation::ReduceScatter | Aggregation::ParameterServer => {
+                exchange_local_bests(ctx, &locals)
             }
         }
-        per_worker.push(list);
     }
-    Ok((0..locals.len())
-        .map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone())))
-        .collect())
-}
 
-#[allow(clippy::too_many_arguments)]
-fn build_histogram(
-    pool: &mut HistogramPool,
-    node: u32,
-    binned: &BinnedStore,
-    grads: &GradBuffer,
-    index: &NodeToInstanceIndex,
-    threads: usize,
-    kernel: gbdt_core::Kernel,
-    meter: &Meter,
-) {
-    parallel::build_histogram_chunked(pool, node, index.instances(node), threads, meter, |hist, chunk| {
-        kernels::fill_rows_chunk(hist, chunk, binned, grads, kernel);
-    });
+    fn release(&mut self, node: u32) {
+        self.pool.release(node);
+    }
+
+    fn place(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        splits: &[(u32, Split)],
+    ) -> Result<Vec<(u64, u64)>, CommError> {
+        let local: Vec<(usize, usize)> = ctx.time(Phase::NodeSplit, || {
+            splits
+                .iter()
+                .map(|(node, split)| {
+                    self.index.split(*node, |i| match self.binned.get(i as usize, split.feature) {
+                        Some(b) => b <= split.bin,
+                        None => split.default_left,
+                    })
+                })
+                .collect()
+        });
+        all_reduce_counts(ctx, &local)
+    }
+
+    fn add_leaf_scores(&self, tree: &Tree, leaves: &[u32], scores: &mut [f64]) {
+        add_leaf_scores(&self.index, tree, leaves, scores);
+    }
+
+    fn end_tree(&mut self, _ctx: &mut WorkerCtx) {
+        self.pool.release_all();
+        self.index.reset();
+    }
 }
 
 #[cfg(test)]
@@ -460,14 +309,5 @@ mod tests {
         let ds = dataset(900, 12, 4, 53);
         let result = train(&Cluster::new(2), &ds, &config(4), Aggregation::ReduceScatter);
         assert!(result.model.evaluate(&ds).accuracy.unwrap() > 0.4);
-    }
-
-    #[test]
-    fn single_worker_matches_single_node_reference() {
-        let ds = dataset(700, 12, 2, 59);
-        let cfg = config(2);
-        let dist = train(&Cluster::new(1), &ds, &cfg, Aggregation::AllReduce);
-        let reference = crate::single::train(&ds, &cfg);
-        assert_eq!(dist.model, reference);
     }
 }

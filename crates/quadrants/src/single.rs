@@ -6,6 +6,10 @@
 //! on the same binned data every trainer must grow the same trees.
 //! There is no wire at all, so [`TrainConfig::wire`] is trivially a no-op:
 //! every codec trains the identical ensemble.
+//!
+//! It is deliberately kept outside the boosting driver (`driver.rs`) that
+//! every distributed trainer runs: an oracle written separately can catch
+//! a bug in the shared loop that every trainer would otherwise agree on.
 
 use crate::common::{subtraction_plan, worker_threads, Frontier};
 use gbdt_core::histogram::HistogramPool;
@@ -44,9 +48,8 @@ pub fn train_prebinned(
 
     let mut model = GbdtModel::new(objective, config.learning_rate, d);
     let mut scores = vec![0.0f64; n * c];
-    for (i, chunk) in scores.chunks_mut(c).enumerate() {
+    for chunk in scores.chunks_mut(c) {
         chunk.copy_from_slice(&model.init_scores);
-        let _ = i;
     }
     let mut grads = GradBuffer::new(n, c);
     let mut index = NodeToInstanceIndex::new(n);

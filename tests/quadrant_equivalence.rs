@@ -9,7 +9,7 @@ use gbdt_cluster::Cluster;
 use gbdt_core::{Objective, TrainConfig};
 use gbdt_data::synthetic::SyntheticConfig;
 use gbdt_data::Dataset;
-use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, yggdrasil, Aggregation};
+use gbdt_quadrants::{featpar, qd1, qd2, qd3, qd4, single, yggdrasil, Aggregation, DistTrainResult};
 
 fn dataset(n: usize, d: usize, classes: usize, density: f64, seed: u64) -> Dataset {
     SyntheticConfig {
@@ -87,6 +87,35 @@ fn agreement_holds_across_worker_counts() {
         let m2 = qd2::train(&cluster, &ds, &cfg, Aggregation::AllReduce).model;
         let m4 = qd4::train(&cluster, &ds, &cfg).model;
         assert_same_predictions(&ds, &m2, &m4, &format!("W={workers}"));
+    }
+}
+
+/// The world-1 oracle: with one worker, every trainer's sketch is the
+/// single-node sketch, so it must grow exactly the reference ensemble —
+/// bit for bit, not just matching predictions. QD1 is excluded: it builds
+/// every histogram from scratch (no subtraction), so its float sums
+/// legitimately differ in the last bits (`FP_QD1 != FP_SINGLE` in
+/// `ensemble_pinned.rs`).
+#[test]
+fn one_worker_matches_the_single_node_oracle_exactly() {
+    type Trainer = fn(&Cluster, &Dataset, &TrainConfig) -> DistTrainResult;
+    let trainers: [(&str, Trainer); 7] = [
+        ("qd2-all-reduce", |c, d, t| qd2::train(c, d, t, Aggregation::AllReduce)),
+        ("qd2-reduce-scatter", |c, d, t| qd2::train(c, d, t, Aggregation::ReduceScatter)),
+        ("qd2-parameter-server", |c, d, t| qd2::train(c, d, t, Aggregation::ParameterServer)),
+        ("qd3", qd3::train),
+        ("qd4", qd4::train),
+        ("yggdrasil", yggdrasil::train),
+        ("featpar", featpar::train),
+    ];
+    for classes in [2, 3] {
+        let ds = dataset(700, 12, classes, 0.5, 1049 + classes as u64);
+        let cfg = config(classes, 6, 5);
+        let reference = single::train(&ds, &cfg);
+        for (name, train) in trainers {
+            let model = train(&Cluster::new(1), &ds, &cfg).model;
+            assert!(model == reference, "{name}, {classes} classes: differs from single::train");
+        }
     }
 }
 
