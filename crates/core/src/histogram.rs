@@ -159,16 +159,6 @@ impl NodeHistogram {
         stats
     }
 
-    /// Adds the pairs of `(feature, bin)` into `stats`.
-    #[inline]
-    pub fn accumulate_bin(&self, feature: FeatureId, bin: usize, stats: &mut NodeStats) {
-        let k = self.offset(feature as usize, bin, 0);
-        for c in 0..self.n_outputs {
-            stats.grads[c] += self.data[k + c * 2];
-            stats.hesses[c] += self.data[k + c * 2 + 1];
-        }
-    }
-
     /// `f64` elements covering one feature (`n_bins × n_outputs × 2`) — the
     /// stride between consecutive features in the flat buffer, used to carve
     /// the buffer into disjoint per-feature regions for parallel fills.

@@ -258,10 +258,23 @@ pub fn par_map_slots<T: Send>(
     threads: usize,
     f: impl Fn(usize, &mut T) + Sync,
 ) {
+    par_map_slots_with(slots, threads, || (), |(), i, slot| f(i, slot));
+}
+
+/// [`par_map_slots`] with per-block scratch state: each contiguous block
+/// of slots (the whole slice when sequential) calls `init` once and passes
+/// the state to `f` for every slot of the block.
+pub fn par_map_slots_with<T: Send, S>(
+    slots: &mut [T],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut T) + Sync,
+) {
     let n = slots.len();
     if threads <= 1 || n < 2 {
+        let mut state = init();
         for (i, slot) in slots.iter_mut().enumerate() {
-            f(i, slot);
+            f(&mut state, i, slot);
         }
         return;
     }
@@ -269,10 +282,11 @@ pub fn par_map_slots<T: Send>(
     let per = n.div_ceil(t);
     std::thread::scope(|s| {
         for (bi, block) in slots.chunks_mut(per).enumerate() {
-            let f = &f;
+            let (init, f) = (&init, &f);
             s.spawn(move || {
+                let mut state = init();
                 for (k, slot) in block.iter_mut().enumerate() {
-                    f(bi * per + k, slot);
+                    f(&mut state, bi * per + k, slot);
                 }
             });
         }

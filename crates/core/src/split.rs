@@ -113,21 +113,17 @@ impl NodeStats {
         out
     }
 
-    /// Decodes [`Self::encode_bytes`] output.
+    /// Decodes [`Self::encode_bytes`] output; `None` for any other bytes.
     pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 4 {
+        let (head, payload) = bytes.split_first_chunk::<4>()?;
+        let c = u32::from_le_bytes(*head) as usize;
+        if payload.len() != c.checked_mul(16)? {
             return None;
         }
-        let c = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let payload = &bytes[4..];
-        if payload.len() != c * 16 {
-            return None;
-        }
-        let vals: Vec<f64> = payload
-            .chunks_exact(8)
-            .map(|ch| f64::from_le_bytes(ch.try_into().unwrap()))
-            .collect();
-        Some(NodeStats { grads: vals[..c].to_vec(), hesses: vals[c..].to_vec() })
+        let mut grads: Vec<f64> =
+            payload.as_chunks::<8>().0.iter().map(|w| f64::from_le_bytes(*w)).collect();
+        let hesses = grads.split_off(c);
+        Some(NodeStats { grads, hesses })
     }
 }
 
@@ -151,7 +147,18 @@ pub struct Split {
     pub right: NodeStats,
 }
 
-impl Split {
+/// The scalar part of a split candidate — everything the preference order
+/// looks at. The scan compares candidates by this key alone and builds a
+/// [`Split`] only for the winner.
+#[derive(Debug, Clone, Copy)]
+struct SplitKey {
+    gain: f64,
+    feature: FeatureId,
+    bin: BinId,
+    default_left: bool,
+}
+
+impl SplitKey {
     /// Tolerance below which two gains are considered tied. Quadrants sum
     /// the same per-instance gradients in different orders (horizontal
     /// trainers reduce per-worker partials, vertical trainers sum whole
@@ -164,17 +171,13 @@ impl Split {
     const GAIN_TIE_REL: f64 = 1e-9;
     const GAIN_TIE_ABS: f64 = 1e-12;
 
-    fn gain_ties(&self, other: &Split) -> bool {
+    /// The preference order documented on [`Split::better_than`]. The
+    /// tolerance makes it non-transitive, so every caller folds candidates
+    /// in one fixed order.
+    fn better_than(&self, other: &SplitKey) -> bool {
         let tol = Self::GAIN_TIE_ABS + Self::GAIN_TIE_REL * self.gain.abs().max(other.gain.abs());
-        (self.gain - other.gain).abs() <= tol
-    }
-
-    /// Deterministic preference order: larger gain wins; (near-)ties break
-    /// toward the smaller feature id, then the smaller bin, then default
-    /// left. Every trainer uses this single comparison, which is what makes
-    /// all quadrants grow identical trees on equivalent histograms.
-    pub fn better_than(&self, other: &Split) -> bool {
-        if !self.gain_ties(other) {
+        let ties = (self.gain - other.gain).abs() <= tol;
+        if !ties {
             return self.gain > other.gain;
         }
         if self.feature != other.feature {
@@ -184,6 +187,25 @@ impl Split {
             return self.bin < other.bin;
         }
         self.default_left && !other.default_left
+    }
+}
+
+impl Split {
+    fn key(&self) -> SplitKey {
+        SplitKey {
+            gain: self.gain,
+            feature: self.feature,
+            bin: self.bin,
+            default_left: self.default_left,
+        }
+    }
+
+    /// Deterministic preference order: larger gain wins; (near-)ties break
+    /// toward the smaller feature id, then the smaller bin, then default
+    /// left. Every trainer uses this single comparison, which is what makes
+    /// all quadrants grow identical trees on equivalent histograms.
+    pub fn better_than(&self, other: &Split) -> bool {
+        self.key().better_than(&other.key())
     }
 
     /// Exact wire encoding for best-split exchange.
@@ -201,7 +223,8 @@ impl Split {
         out
     }
 
-    /// Decodes [`Self::encode_bytes`] output.
+    /// Decodes [`Self::encode_bytes`] output; `None` for any other bytes,
+    /// including a frame whose two sides disagree on the class count.
     pub fn decode_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 19 {
             return None;
@@ -211,8 +234,12 @@ impl Split {
         let default_left = bytes[6] != 0;
         let gain = f64::from_le_bytes(bytes[7..15].try_into().ok()?);
         let left_len = u32::from_le_bytes(bytes[15..19].try_into().ok()?) as usize;
-        let left = NodeStats::decode_bytes(bytes.get(19..19 + left_len)?)?;
-        let right = NodeStats::decode_bytes(bytes.get(19 + left_len..)?)?;
+        let left_end = 19usize.checked_add(left_len)?;
+        let left = NodeStats::decode_bytes(bytes.get(19..left_end)?)?;
+        let right = NodeStats::decode_bytes(bytes.get(left_end..)?)?;
+        if left.n_outputs() != right.n_outputs() {
+            return None;
+        }
         Some(Split { feature, bin, default_left, gain, left, right })
     }
 }
@@ -229,57 +256,212 @@ pub fn best_split_for_feature(
     node: &NodeStats,
     params: &SplitParams,
 ) -> Option<Split> {
-    if n_bins < 2 {
-        return None;
+    let search = Search::new(hist, node, params);
+    let mut scratch = Scratch::new(hist.n_outputs());
+    let key = search.feature_best(&mut scratch, feature, n_bins)?;
+    Some(search.split(&mut scratch, feature, key))
+}
+
+/// Running sums of one feature's scan, one `[g, h]` pair per class like a
+/// histogram bin: the present totals, the missing mass and the left
+/// prefix. One scratch serves every feature of a search (or of one
+/// parallel chunk).
+struct Scratch {
+    present: Vec<[f64; 2]>,
+    missing: Vec<[f64; 2]>,
+    left: Vec<[f64; 2]>,
+}
+
+impl Scratch {
+    fn new(n_outputs: usize) -> Self {
+        let zeros = vec![[0.0; 2]; n_outputs];
+        Scratch { present: zeros.clone(), missing: zeros.clone(), left: zeros }
     }
-    let c = node.n_outputs();
-    let present = hist.feature_totals(feature);
-    let missing = node.sub(&present);
-    let node_score = node.score(params.lambda);
 
-    let mut left_present = NodeStats::zero(c);
-    let mut best: Option<Split> = None;
-
-    // Split after bin b (bins 0..=b left); the last bin never splits.
-    for b in 0..n_bins - 1 {
-        hist.accumulate_bin(feature, b, &mut left_present);
-        let right_present = present.sub(&left_present);
-
-        for default_left in [true, false] {
-            let (left, right) = if default_left {
-                let mut l = left_present.clone();
-                l.add(&missing);
-                (l, right_present.clone())
-            } else {
-                let mut r = right_present.clone();
-                r.add(&missing);
-                (left_present.clone(), r)
-            };
-            if left.total_hess() < params.min_child_weight
-                || right.total_hess() < params.min_child_weight
-            {
-                continue;
-            }
-            let gain =
-                0.5 * (left.score(params.lambda) + right.score(params.lambda) - node_score)
-                    - params.gamma;
-            if gain <= 0.0 {
-                continue;
-            }
-            let candidate = Split {
-                feature,
-                bin: b as BinId,
-                default_left,
-                gain,
-                left,
-                right,
-            };
-            if best.as_ref().is_none_or(|cur| candidate.better_than(cur)) {
-                best = Some(candidate);
+    /// Starts a feature: sums all of its histogram bins into `present` (as
+    /// [`NodeHistogram::feature_totals`] does), sets `missing = node −
+    /// present` and clears the left prefix.
+    fn start(&mut self, bins: &[[f64; 2]], node: &NodeStats) {
+        self.present.fill([0.0; 2]);
+        for bin in bins.chunks_exact(self.present.len()) {
+            for (p, v) in self.present.iter_mut().zip(bin) {
+                p[0] += v[0];
+                p[1] += v[1];
             }
         }
+        let node_pairs = node.grads.iter().zip(&node.hesses);
+        for ((m, p), (g, h)) in self.missing.iter_mut().zip(&self.present).zip(node_pairs) {
+            *m = [g - p[0], h - p[1]];
+        }
+        self.left.fill([0.0; 2]);
     }
-    best
+
+    /// Moves one bin into the left prefix.
+    #[inline]
+    fn push_bin(&mut self, bin: &[[f64; 2]]) {
+        for (l, v) in self.left.iter_mut().zip(bin) {
+            l[0] += v[0];
+            l[1] += v[1];
+        }
+    }
+
+    /// Per class, the child sums of a split after the current prefix, as
+    /// `[direction][side]` `[g, h]` pairs: direction 0 sends the missing
+    /// mass left (`left + missing | present − left`), direction 1 right
+    /// (`left | (present − left) + missing`).
+    #[inline]
+    fn children(&self) -> impl Iterator<Item = [[[f64; 2]; 2]; 2]> + '_ {
+        let triples = self.left.iter().zip(&self.present).zip(&self.missing);
+        triples.map(|((l, p), m)| {
+            let right = [p[0] - l[0], p[1] - l[1]];
+            [[[l[0] + m[0], l[1] + m[1]], right], [*l, [right[0] + m[0], right[1] + m[1]]]]
+        })
+    }
+}
+
+/// One node's split search: the histogram, the node's sums and its score.
+/// Shared read-only by every thread of a parallel search.
+struct Search<'a> {
+    hist: &'a NodeHistogram,
+    node: &'a NodeStats,
+    params: &'a SplitParams,
+    node_score: f64,
+}
+
+impl<'a> Search<'a> {
+    fn new(hist: &'a NodeHistogram, node: &'a NodeStats, params: &'a SplitParams) -> Self {
+        debug_assert_eq!(node.n_outputs(), hist.n_outputs(), "node/histogram class mismatch");
+        Search { hist, node, params, node_score: node.score(params.lambda) }
+    }
+
+    /// Feature `feature`'s `[bin][class]` pairs in the histogram.
+    fn bins(&self, feature: FeatureId) -> &'a [[f64; 2]] {
+        let stride = self.hist.feature_stride();
+        let start = feature as usize * stride;
+        self.hist.as_slice()[start..start + stride].as_chunks::<2>().0
+    }
+
+    /// The gains of splitting after the current prefix with missing values
+    /// sent left and right (the directions of [`Scratch::children`]); `None`
+    /// where a child is too light or the gain is not positive. Per-class
+    /// terms fold in class order from `-0.0`, exactly as `Iterator::sum`
+    /// in [`NodeStats::total_hess`] and [`NodeStats::score`] does.
+    #[inline]
+    fn gains(&self, scratch: &Scratch) -> [Option<f64>; 2] {
+        let lambda = self.params.lambda;
+        let mut hess = [[-0.0; 2]; 2];
+        let mut score = [[-0.0; 2]; 2];
+        for [[ll, lr], [rl, rr]] in scratch.children() {
+            hess[0][0] += ll[1];
+            hess[0][1] += lr[1];
+            hess[1][0] += rl[1];
+            hess[1][1] += rr[1];
+            score[0][0] += ll[0] * ll[0] / (ll[1] + lambda);
+            score[0][1] += lr[0] * lr[0] / (lr[1] + lambda);
+            score[1][0] += rl[0] * rl[0] / (rl[1] + lambda);
+            score[1][1] += rr[0] * rr[0] / (rr[1] + lambda);
+        }
+        [self.gain(hess[0], score[0]), self.gain(hess[1], score[1])]
+    }
+
+    /// The gain of one candidate from its children's hessian totals and
+    /// scores, `None` if a child is too light or the gain is not positive.
+    #[inline]
+    fn gain(&self, hess: [f64; 2], score: [f64; 2]) -> Option<f64> {
+        let min = self.params.min_child_weight;
+        if hess[0] < min || hess[1] < min {
+            return None;
+        }
+        let gain = 0.5 * (score[0] + score[1] - self.node_score) - self.params.gamma;
+        if gain <= 0.0 {
+            None
+        } else {
+            Some(gain)
+        }
+    }
+
+    /// The first `n` bins of feature `feature`, ascending, as `(b, bin)`,
+    /// leaving out every all-zero bin after the first. Such a bin leaves the
+    /// left prefix as it is, so its two candidates would repeat the previous
+    /// bin's gains bit for bit. A repeat loses to the candidate it repeats
+    /// (equal gain, larger bin) and to whatever beat that one, so it never
+    /// changes the running best; `tests/split_oracle.rs` checks this.
+    fn prefix_bins(
+        &self,
+        feature: FeatureId,
+        n: usize,
+    ) -> impl Iterator<Item = (usize, &'a [[f64; 2]])> {
+        let bins = self.bins(feature).chunks_exact(self.node.n_outputs()).take(n).enumerate();
+        bins.filter(|(b, bin)| *b == 0 || bin.iter().any(|&[g, h]| g != 0.0 || h != 0.0))
+    }
+
+    /// The scan: the best candidate of one feature, visiting bins in
+    /// ascending order and `default_left = true` before `false`. Split after
+    /// bin b (bins 0..=b left); the last bin never splits.
+    fn feature_best(
+        &self,
+        scratch: &mut Scratch,
+        feature: FeatureId,
+        n_bins: usize,
+    ) -> Option<SplitKey> {
+        if n_bins < 2 {
+            return None;
+        }
+        debug_assert!(n_bins <= self.hist.n_bins(), "feature has more bins than the histogram");
+        scratch.start(self.bins(feature), self.node);
+        let mut best: Option<SplitKey> = None;
+        for (b, bin) in self.prefix_bins(feature, n_bins - 1) {
+            scratch.push_bin(bin);
+            for (gain, default_left) in self.gains(scratch).into_iter().zip([true, false]) {
+                if let Some(gain) = gain {
+                    let candidate = SplitKey { gain, feature, bin: b as BinId, default_left };
+                    if best.is_none_or(|cur| candidate.better_than(&cur)) {
+                        best = Some(candidate);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// Materializes the winning candidate `key` of local feature `feature`,
+    /// redoing the winner's prefix so its child sums come out of the same
+    /// additions the scan made.
+    fn split(&self, scratch: &mut Scratch, feature: FeatureId, key: SplitKey) -> Split {
+        scratch.start(self.bins(feature), self.node);
+        for (_, bin) in self.prefix_bins(feature, key.bin as usize + 1) {
+            scratch.push_bin(bin);
+        }
+        let c = self.node.n_outputs();
+        let (mut left, mut right) = (NodeStats::zero(c), NodeStats::zero(c));
+        let direction = usize::from(!key.default_left);
+        for (k, children) in scratch.children().enumerate() {
+            let [[lg, lh], [rg, rh]] = children[direction];
+            (left.grads[k], left.hesses[k], right.grads[k], right.hesses[k]) = (lg, lh, rg, rh);
+        }
+        Split {
+            feature: key.feature,
+            bin: key.bin,
+            default_left: key.default_left,
+            gain: key.gain,
+            left,
+            right,
+        }
+    }
+}
+
+/// Folds one feature's best into the running best of a search, in the
+/// order every search uses: features ascending.
+fn fold_best(
+    best: &mut Option<(FeatureId, SplitKey)>,
+    local: FeatureId,
+    key: Option<SplitKey>,
+) {
+    if let Some(key) = key {
+        if best.is_none_or(|(_, cur)| key.better_than(&cur)) {
+            *best = Some((local, key));
+        }
+    }
 }
 
 /// Finds the best split over all features of a histogram.
@@ -310,24 +492,22 @@ pub fn best_split_in_range(
     feature_map: impl Fn(FeatureId) -> FeatureId,
 ) -> Option<Split> {
     debug_assert!(range.end as usize <= hist.n_features());
-    let mut best: Option<Split> = None;
+    let search = Search::new(hist, node, params);
+    let mut scratch = Scratch::new(hist.n_outputs());
+    let mut best = None;
     for f in range {
-        if let Some(mut s) = best_split_for_feature(hist, f, n_bins_of(f), node, params) {
-            s.feature = feature_map(f);
-            if best.as_ref().is_none_or(|cur| s.better_than(cur)) {
-                best = Some(s);
-            }
-        }
+        let key = search.feature_best(&mut scratch, f, n_bins_of(f));
+        fold_best(&mut best, f, key.map(|k| SplitKey { feature: feature_map(f), ..k }));
     }
-    best
+    best.map(|(f, key)| search.split(&mut scratch, f, key))
 }
 
 /// Parallel [`best_split_in_range`]: the per-feature scans fan out across
-/// `threads`, each feature's candidate lands in a feature-indexed slot, and
-/// the slots are reduced sequentially in ascending feature order with
-/// [`Split::better_than`]. The reduction therefore folds the same
-/// candidates in the same order as the sequential scan, making the chosen
-/// split bit-identical for every thread count.
+/// `threads` (one scratch per chunk), each feature's best key lands in a
+/// feature-indexed slot, and the slots are folded sequentially in
+/// ascending feature order. The fold therefore sees the same candidates in
+/// the same order as the sequential scan, making the chosen split
+/// bit-identical for every thread count.
 pub fn best_split_in_range_parallel(
     hist: &NodeHistogram,
     range: std::ops::Range<FeatureId>,
@@ -342,21 +522,24 @@ pub fn best_split_in_range_parallel(
         return best_split_in_range(hist, range, node, params, n_bins_of, feature_map);
     }
     let start = range.start;
-    let mut slots: Vec<Option<Split>> = vec![None; len];
-    crate::parallel::par_map_slots(&mut slots, threads, |k, slot| {
-        let f = start + k as FeatureId;
-        *slot = best_split_for_feature(hist, f, n_bins_of(f), node, params).map(|mut s| {
-            s.feature = feature_map(f);
-            s
-        });
-    });
-    let mut best: Option<Split> = None;
-    for s in slots.into_iter().flatten() {
-        if best.as_ref().is_none_or(|cur| s.better_than(cur)) {
-            best = Some(s);
-        }
+    let search = Search::new(hist, node, params);
+    let mut slots: Vec<Option<SplitKey>> = vec![None; len];
+    crate::parallel::par_map_slots_with(
+        &mut slots,
+        threads,
+        || Scratch::new(hist.n_outputs()),
+        |scratch, k, slot| {
+            let f = start + k as FeatureId;
+            *slot = search
+                .feature_best(scratch, f, n_bins_of(f))
+                .map(|key| SplitKey { feature: feature_map(f), ..key });
+        },
+    );
+    let mut best = None;
+    for (f, key) in (start..).zip(slots) {
+        fold_best(&mut best, f, key);
     }
-    best
+    best.map(|(f, key)| search.split(&mut Scratch::new(hist.n_outputs()), f, key))
 }
 
 /// Parallel [`best_split`] over all features of a histogram.
@@ -511,7 +694,7 @@ mod tests {
         b.bin = 1;
         assert!(a.better_than(&b));
         b.bin = 0;
-        assert!(!a.better_than(&b)); // identical: first wins via map_or(false)
+        assert!(!a.better_than(&b)); // identical: the incumbent stays (is_none_or fold)
     }
 
     #[test]
@@ -573,5 +756,41 @@ mod tests {
         };
         assert_eq!(Split::decode_bytes(&split.encode_bytes()).unwrap(), split);
         assert!(Split::decode_bytes(&split.encode_bytes()[..20]).is_none());
+    }
+
+    #[test]
+    fn hostile_stats_and_split_frames_decode_to_none() {
+        let stats = NodeStats { grads: vec![1.5, -2.5], hesses: vec![0.5, 3.0] };
+        // A class count of u32::MAX, and a trailing byte.
+        let mut huge_c = stats.encode_bytes();
+        huge_c[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(NodeStats::decode_bytes(&huge_c).is_none());
+        let mut trailing = stats.encode_bytes();
+        trailing.push(0);
+        assert!(NodeStats::decode_bytes(&trailing).is_none());
+        assert_eq!(NodeStats::decode_bytes(&0u32.to_le_bytes()), Some(NodeStats::zero(0)));
+
+        let split = Split {
+            feature: 3,
+            bin: 1,
+            default_left: true,
+            gain: 0.5,
+            left: stats.clone(),
+            right: NodeStats::zero(2),
+        };
+        let good = split.encode_bytes();
+        // Left and right sides over different class counts.
+        let mixed = Split { right: NodeStats::zero(3), ..split.clone() };
+        assert!(Split::decode_bytes(&mixed.encode_bytes()).is_none());
+        // The left-side length at u32::MAX, then the left class count.
+        let mut long_left = good.clone();
+        long_left[15..19].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Split::decode_bytes(&long_left).is_none());
+        let mut left_c = good.clone();
+        left_c[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Split::decode_bytes(&left_c).is_none());
+        let mut trailing = good;
+        trailing.push(0);
+        assert!(Split::decode_bytes(&trailing).is_none());
     }
 }

@@ -8,34 +8,44 @@ use proptest::prelude::*;
 
 /// Brute-force split gain for a single feature: enumerate every bin
 /// boundary and both default directions directly from per-instance data.
+/// Each instance carries one `(g, h)` pair per class; per-class terms sum.
 fn brute_force_best_gain(
     bins: &[Option<u16>], // None = missing
-    grads: &[f64],
-    hesses: &[f64],
+    pairs: &[Vec<(f64, f64)>],
     n_bins: usize,
     params: &SplitParams,
 ) -> Option<f64> {
+    let c = pairs.first().map_or(0, Vec::len);
     let score = |g: f64, h: f64| g * g / (h + params.lambda);
-    let (gt, ht): (f64, f64) = (grads.iter().sum(), hesses.iter().sum());
+    let class_total = |k: usize| -> (f64, f64) {
+        (pairs.iter().map(|p| p[k].0).sum(), pairs.iter().map(|p| p[k].1).sum())
+    };
     let mut best: Option<f64> = None;
     for b in 0..n_bins.saturating_sub(1) {
         for default_left in [true, false] {
-            let (mut gl, mut hl) = (0.0f64, 0.0f64);
-            for i in 0..bins.len() {
-                let left = match bins[i] {
-                    Some(bin) => bin as usize <= b,
-                    None => default_left,
-                };
-                if left {
-                    gl += grads[i];
-                    hl += hesses[i];
+            let (mut hl_total, mut hr_total, mut gain_sum) = (0.0f64, 0.0f64, 0.0f64);
+            for k in 0..c {
+                let (gt, ht) = class_total(k);
+                let (mut gl, mut hl) = (0.0f64, 0.0f64);
+                for (bin, instance) in bins.iter().zip(pairs) {
+                    let left = match bin {
+                        Some(bin) => *bin as usize <= b,
+                        None => default_left,
+                    };
+                    if left {
+                        gl += instance[k].0;
+                        hl += instance[k].1;
+                    }
                 }
+                let (gr, hr) = (gt - gl, ht - hl);
+                hl_total += hl;
+                hr_total += hr;
+                gain_sum += score(gl, hl) + score(gr, hr) - score(gt, ht);
             }
-            let (gr, hr) = (gt - gl, ht - hl);
-            if hl < params.min_child_weight || hr < params.min_child_weight {
+            if hl_total < params.min_child_weight || hr_total < params.min_child_weight {
                 continue;
             }
-            let gain = 0.5 * (score(gl, hl) + score(gr, hr) - score(gt, ht)) - params.gamma;
+            let gain = 0.5 * gain_sum - params.gamma;
             if gain > 0.0 && best.is_none_or(|cur| gain > cur) {
                 best = Some(gain);
             }
@@ -47,35 +57,44 @@ fn brute_force_best_gain(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The histogram split finder must agree with brute-force enumeration.
+    /// The histogram split finder must agree with brute-force enumeration,
+    /// for one output and for three classes.
     #[test]
     fn split_finder_matches_brute_force(
         data in prop::collection::vec(
-            (prop::option::of(0u16..6), -2.0f64..2.0, 0.01f64..2.0),
+            (
+                prop::option::of(0u16..6),
+                (-2.0f64..2.0, 0.01f64..2.0),
+                (-2.0f64..2.0, 0.01f64..2.0),
+                (-2.0f64..2.0, 0.01f64..2.0),
+            ),
             2..40,
         ),
         lambda in 0.1f64..5.0,
         gamma in 0.0f64..0.5,
+        three_classes in any::<bool>(),
     ) {
         let n_bins = 6usize;
+        let c = if three_classes { 3 } else { 1 };
         let params = SplitParams { lambda, gamma, min_child_weight: 0.0 };
-        let mut hist = NodeHistogram::new(1, n_bins, 1);
-        let mut node = NodeStats::zero(1);
+        let mut hist = NodeHistogram::new(1, n_bins, c);
+        let mut node = NodeStats::zero(c);
         let mut bins = Vec::new();
-        let mut grads = Vec::new();
-        let mut hesses = Vec::new();
-        for &(bin, g, h) in &data {
-            if let Some(b) = bin {
-                hist.add(0, b, 0, g, h);
+        let mut pairs = Vec::new();
+        for &(bin, p0, p1, p2) in &data {
+            let instance = [p0, p1, p2][..c].to_vec();
+            for (k, &(g, h)) in instance.iter().enumerate() {
+                if let Some(b) = bin {
+                    hist.add(0, b, k, g, h);
+                }
+                node.grads[k] += g;
+                node.hesses[k] += h;
             }
-            node.grads[0] += g;
-            node.hesses[0] += h;
             bins.push(bin);
-            grads.push(g);
-            hesses.push(h);
+            pairs.push(instance);
         }
         let found = best_split_for_feature(&hist, 0, n_bins, &node, &params);
-        let brute = brute_force_best_gain(&bins, &grads, &hesses, n_bins, &params);
+        let brute = brute_force_best_gain(&bins, &pairs, n_bins, &params);
         match (found, brute) {
             (Some(s), Some(g)) => prop_assert!(
                 (s.gain - g).abs() < 1e-9,

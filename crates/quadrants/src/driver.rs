@@ -63,13 +63,15 @@ pub(crate) trait DataPolicy {
 
     /// Turns per-node local bests into the global decisions. Workers that
     /// searched a feature subset exchange them; workers that searched
-    /// every feature of global histograms already hold the answer.
+    /// every feature of global histograms already hold the answer. A peer's
+    /// split must carry sums for `n_outputs` classes, the trainer's C.
     fn resolve_splits(
         &mut self,
         ctx: &mut WorkerCtx,
         locals: Vec<Option<Split>>,
+        n_outputs: usize,
     ) -> Result<Vec<Option<Split>>, CommError> {
-        exchange_local_bests(ctx, &locals)
+        exchange_local_bests(ctx, &locals, n_outputs)
     }
 
     /// `node` became a leaf; its histogram is no longer needed.
@@ -187,7 +189,7 @@ pub(crate) fn grow<P: DataPolicy>(
                     })
                     .collect()
             });
-            let decisions = policy.resolve_splits(ctx, locals)?;
+            let decisions = policy.resolve_splits(ctx, locals, c)?;
 
             let mut splits: Vec<(u32, Split)> = Vec::new();
             for (&node, decision) in frontier.nodes.iter().zip(decisions) {
@@ -286,14 +288,16 @@ pub(crate) fn add_leaf_scores(
 /// All-gathers per-node local best splits and resolves each node's global
 /// best deterministically. Used by every policy that finds splits on a
 /// feature subset (QD2-sharded, QD3, QD4, Yggdrasil, feature-parallel).
+/// A peer split over other than `n_outputs` classes is malformed.
 pub(crate) fn exchange_local_bests(
     ctx: &mut WorkerCtx,
     locals: &[Option<Split>],
+    n_outputs: usize,
 ) -> Result<Vec<Option<Split>>, CommError> {
     let gathered = ctx.comm.all_gather(Bytes::from(encode_local_bests(locals)))?;
     let mut per_worker = Vec::with_capacity(gathered.len());
     for (from, buf) in gathered.iter().enumerate() {
-        per_worker.push(decode_local_bests(from, buf, locals.len())?);
+        per_worker.push(decode_local_bests(from, buf, locals.len(), n_outputs)?);
     }
     Ok((0..locals.len())
         .map(|k| choose_global_best(per_worker.iter().map(|w| w[k].clone())))
@@ -319,8 +323,14 @@ fn encode_local_bests(locals: &[Option<Split>]) -> Vec<u8> {
 }
 
 /// Decodes rank `from`'s frame of [`encode_local_bests`], which must
-/// hold exactly `n` entries and nothing after them.
-fn decode_local_bests(from: usize, buf: &[u8], n: usize) -> Result<Vec<Option<Split>>, CommError> {
+/// hold exactly `n` entries, each over `n_outputs` classes, and nothing
+/// after them.
+fn decode_local_bests(
+    from: usize,
+    buf: &[u8],
+    n: usize,
+    n_outputs: usize,
+) -> Result<Vec<Option<Split>>, CommError> {
     let malformed = || CommError::Malformed { from };
     let mut rest = buf;
     if read_u32(&mut rest, from)? != n {
@@ -332,8 +342,9 @@ fn decode_local_bests(from: usize, buf: &[u8], n: usize) -> Result<Vec<Option<Sp
             [0] => list.push(None),
             [1] => {
                 let len = read_u32(&mut rest, from)?;
-                let split =
-                    Split::decode_bytes(take(&mut rest, len, from)?).ok_or_else(malformed)?;
+                let split = Split::decode_bytes(take(&mut rest, len, from)?)
+                    .filter(|s| s.left.n_outputs() == n_outputs)
+                    .ok_or_else(malformed)?;
                 list.push(Some(split));
             }
             _ => return Err(malformed()),
@@ -584,7 +595,7 @@ mod tests {
     #[test]
     fn local_bests_round_trip() {
         let locals = vec![Some(split(4)), None, Some(split(7))];
-        assert_eq!(decode_local_bests(1, &encode_local_bests(&locals), 3), Ok(locals));
+        assert_eq!(decode_local_bests(1, &encode_local_bests(&locals), 3, 2), Ok(locals));
     }
 
     #[test]
@@ -593,20 +604,53 @@ mod tests {
         let bad = || Err(CommError::Malformed { from: 2 });
         // Truncated anywhere: header, presence byte, length prefix, body.
         for cut in 0..good.len() {
-            assert_eq!(decode_local_bests(2, &good[..cut], 2), bad(), "cut at {cut}");
+            assert_eq!(decode_local_bests(2, &good[..cut], 2, 2), bad(), "cut at {cut}");
         }
         // A split length inflated past the frame.
         let mut inflated = good.clone();
         inflated[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_local_bests(2, &inflated, 2), bad());
+        assert_eq!(decode_local_bests(2, &inflated, 2, 2), bad());
         // Trailing bytes, a node count that disagrees, a bad presence byte.
         let mut trailing = good.clone();
         trailing.push(0);
-        assert_eq!(decode_local_bests(2, &trailing, 2), bad());
-        assert_eq!(decode_local_bests(2, &good, 3), bad());
+        assert_eq!(decode_local_bests(2, &trailing, 2, 2), bad());
+        assert_eq!(decode_local_bests(2, &good, 3, 2), bad());
         let mut presence = good;
         presence[4] = 7;
-        assert_eq!(decode_local_bests(2, &presence, 2), bad());
+        assert_eq!(decode_local_bests(2, &presence, 2, 2), bad());
+    }
+
+    /// Re-frames one split's bytes as a one-node local-bests frame.
+    fn framed(split_bytes: &[u8]) -> Vec<u8> {
+        let mut frame = 1u32.to_le_bytes().to_vec();
+        frame.push(1);
+        frame.extend_from_slice(&(split_bytes.len() as u32).to_le_bytes());
+        frame.extend_from_slice(split_bytes);
+        frame
+    }
+
+    #[test]
+    fn hostile_split_bodies_are_errors() {
+        let bad = || Err(CommError::Malformed { from: 3 });
+        let body = split(4).encode_bytes();
+        assert!(decode_local_bests(3, &framed(&body), 1, 2).is_ok());
+        // A well-formed split over a class count the trainer does not use.
+        assert_eq!(decode_local_bests(3, &framed(&body), 1, 3), bad(), "peer C differs");
+        // Left and right disagreeing on C.
+        let mut mixed = split(4);
+        mixed.right = NodeStats::zero(3);
+        assert_eq!(decode_local_bests(3, &framed(&mixed.encode_bytes()), 1, 2), bad());
+        // The left-side length prefix, then the left class count, at u32::MAX.
+        let mut long_left = body.clone();
+        long_left[15..19].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_local_bests(3, &framed(&long_left), 1, 2), bad(), "left_len");
+        let mut huge_c = body.clone();
+        huge_c[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_local_bests(3, &framed(&huge_c), 1, 2), bad(), "c = u32::MAX");
+        // A trailing byte inside the split body.
+        let mut trailing = body;
+        trailing.push(0);
+        assert_eq!(decode_local_bests(3, &framed(&trailing), 1, 2), bad(), "trailing byte");
     }
 
     #[test]

@@ -135,6 +135,7 @@ impl DataPolicy for Qd1<'_> {
         &mut self,
         _ctx: &mut WorkerCtx,
         locals: Vec<Option<Split>>,
+        _n_outputs: usize,
     ) -> Result<Vec<Option<Split>>, CommError> {
         Ok(locals) // every worker searched the same global histograms
     }

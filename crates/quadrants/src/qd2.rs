@@ -199,11 +199,12 @@ impl DataPolicy for Qd2<'_> {
         &mut self,
         ctx: &mut WorkerCtx,
         locals: Vec<Option<Split>>,
+        n_outputs: usize,
     ) -> Result<Vec<Option<Split>>, CommError> {
         match self.aggregation {
             Aggregation::AllReduce => Ok(locals),
             Aggregation::ReduceScatter | Aggregation::ParameterServer => {
-                exchange_local_bests(ctx, &locals)
+                exchange_local_bests(ctx, &locals, n_outputs)
             }
         }
     }
