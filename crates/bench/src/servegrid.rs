@@ -322,7 +322,7 @@ pub fn synthetic_model(seed: u64, n_trees: usize, n_layers: usize, n_features: u
             tree.set_internal(id as u32, feature, 0, threshold, default_left);
         }
         for id in internal..total {
-            tree.set_leaf(id as u32, vec![unit(&mut state) * 0.2 - 0.1]);
+            tree.set_leaf(id as u32, &[unit(&mut state) * 0.2 - 0.1]);
         }
         model.trees.push(tree);
     }

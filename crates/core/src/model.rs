@@ -181,9 +181,9 @@ impl GbdtModel {
                         out.push(u8::from(*default_left));
                         out.extend_from_slice(&gain.to_le_bytes());
                     }
-                    crate::tree::NodeKind::Leaf { values } => {
+                    crate::tree::NodeKind::Leaf { .. } => {
                         out.push(1);
-                        for v in values {
+                        for v in tree.leaf_values(id) {
                             out.extend_from_slice(&v.to_le_bytes());
                         }
                     }
@@ -231,6 +231,11 @@ impl GbdtModel {
             let n_nodes = r.u32()? as usize;
             let mut tree = Tree::new(n_layers, n_outputs);
             let max = crate::tree::max_nodes(n_layers) as u32;
+            // At most half the nodes plus one are leaves, and no more values
+            // can follow than the bytes left hold: `n_nodes` and `n_outputs`
+            // are unchecked wire fields, so neither may size the pool alone.
+            let leaves = n_nodes.min(max as usize / 2 + 1);
+            tree.reserve_leaf_values(leaves.saturating_mul(n_outputs).min(r.remaining() / 8));
             let mut prev: Option<u32> = None;
             for _ in 0..n_nodes {
                 let id = r.u32()?;
@@ -243,11 +248,14 @@ impl GbdtModel {
                 prev = Some(id);
                 match r.u8()? {
                     0 => {
-                        let feature = r.u32()?;
-                        let bin = r.u16()?;
-                        let threshold = r.f32()?;
-                        let default_left = r.u8()? != 0;
-                        let gain = r.f64()?;
+                        // One bounds check for the whole fixed-size record.
+                        let [f0, f1, f2, f3, b0, b1, t0, t1, t2, t3, dl, gain @ ..] =
+                            r.array::<19>()?;
+                        let feature = u32::from_le_bytes([f0, f1, f2, f3]);
+                        let bin = u16::from_le_bytes([b0, b1]);
+                        let threshold = f32::from_le_bytes([t0, t1, t2, t3]);
+                        let default_left = dl != 0;
+                        let gain = f64::from_le_bytes(gain);
                         if (crate::tree::children(id).1) >= max {
                             return Err(format!(
                                 "tree {t}: internal node {id} has no room for children"
@@ -256,11 +264,15 @@ impl GbdtModel {
                         tree.set_internal_with_gain(id, feature, bin, threshold, default_left, gain);
                     }
                     1 => {
-                        let mut values = Vec::with_capacity(n_outputs);
-                        for _ in 0..n_outputs {
-                            values.push(r.f64()?);
+                        let n_bytes = n_outputs
+                            .checked_mul(8)
+                            .ok_or_else(|| format!("tree {t}: leaf of {n_outputs} values"))?;
+                        // Read before the slot is made, so the pool only
+                        // grows by values whose bytes have arrived.
+                        let (values, _) = r.take(n_bytes)?.as_chunks::<8>();
+                        for (v, bytes) in tree.leaf_slot(id).iter_mut().zip(values) {
+                            *v = f64::from_le_bytes(*bytes);
                         }
-                        tree.set_leaf(id, values);
                     }
                     k => return Err(format!("tree {t}: unknown node kind {k}")),
                 }
@@ -296,6 +308,11 @@ struct ByteReader<'a> {
 }
 
 impl<'a> ByteReader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -307,24 +324,22 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// The next `N` bytes, by value.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let out = self.take(N)?.first_chunk::<N>().copied();
+        out.ok_or_else(|| format!("truncated model buffer at byte {}", self.pos))
+    }
+
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().map_err(|_| "u16".to_string())?))
-    }
-
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().map_err(|_| "u32".to_string())?))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().map_err(|_| "f32".to_string())?))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().map_err(|_| "f64".to_string())?))
+        self.array().map(f64::from_le_bytes)
     }
 }
 
@@ -396,8 +411,8 @@ mod tests {
     fn stump(leaf_left: f64, leaf_right: f64) -> Tree {
         let mut t = Tree::new(2, 1);
         t.set_internal(0, 0, 0, 0.5, true);
-        t.set_leaf(1, vec![leaf_left]);
-        t.set_leaf(2, vec![leaf_right]);
+        t.set_leaf(1, &[leaf_left]);
+        t.set_leaf(2, &[leaf_right]);
         t
     }
 
@@ -446,7 +461,7 @@ mod tests {
     fn json_roundtrip() {
         let mut m = GbdtModel::new(Objective::Softmax { n_classes: 3 }, 0.2, 5);
         let mut t = Tree::new(1, 3);
-        t.set_leaf(0, vec![0.1, 0.2, 0.3]);
+        t.set_leaf(0, &[0.1, 0.2, 0.3]);
         m.trees.push(t);
         let json = m.to_json();
         let back = GbdtModel::from_json(&json).unwrap();
@@ -460,9 +475,9 @@ mod tests {
         let mut t = Tree::new(3, 1);
         t.set_internal_with_gain(0, 2, 0, 0.5, true, 10.0);
         t.set_internal_with_gain(1, 0, 0, 0.5, true, 1.0);
-        t.set_leaf(2, vec![0.0]);
-        t.set_leaf(3, vec![0.0]);
-        t.set_leaf(4, vec![0.0]);
+        t.set_leaf(2, &[0.0]);
+        t.set_leaf(3, &[0.0]);
+        t.set_leaf(4, &[0.0]);
         m.trees.push(t);
         let by_count = m.feature_importance(ImportanceKind::SplitCount);
         assert!((by_count.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -480,11 +495,11 @@ mod tests {
         let mut m = GbdtModel::new(Objective::Softmax { n_classes: 3 }, 0.2, 5);
         let mut t = Tree::new(3, 3);
         t.set_internal_with_gain(0, 4, 7, -1.25, false, 3.5);
-        t.set_leaf(1, vec![0.1, 0.2, 0.3]);
-        t.set_leaf(2, vec![-0.1, f64::MIN_POSITIVE, 0.0]);
+        t.set_leaf(1, &[0.1, 0.2, 0.3]);
+        t.set_leaf(2, &[-0.1, f64::MIN_POSITIVE, 0.0]);
         m.trees.push(t);
         let mut t2 = Tree::new(1, 3);
-        t2.set_leaf(0, vec![1.0, 2.0, 3.0]);
+        t2.set_leaf(0, &[1.0, 2.0, 3.0]);
         m.trees.push(t2);
         let bytes = m.encode_bytes();
         let back = GbdtModel::decode_bytes(&bytes).unwrap();
@@ -518,6 +533,41 @@ mod tests {
         let mut obj = bytes;
         obj[8] = 7;
         assert!(GbdtModel::decode_bytes(&obj).is_err());
+    }
+
+    #[test]
+    fn hostile_leaf_arity_is_an_error_not_an_allocation() {
+        let mut m = GbdtModel::new(Objective::Logistic, 0.1, 2);
+        m.trees.push(stump(1.0, -1.0));
+        let mut bytes = m.encode_bytes();
+        // Tree 0's header follows the 41-byte model header (magic, version,
+        // objective, n_classes, η, n_features, one init score, n_trees):
+        // u32 n_layers, then u32 n_outputs. Claim 2^32 − 1 values per leaf,
+        // 32 GiB per leaf, in a frame of a few dozen bytes.
+        assert_eq!(&bytes[41..49], &[2, 0, 0, 0, 1, 0, 0, 0]);
+        bytes[45..49].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = GbdtModel::decode_bytes(&bytes).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn decode_pools_leaves_in_id_order_and_equals_frontier_order() {
+        // Training sets leaves in frontier order; the decoder sets them in
+        // id order. The trees differ in pool order and must still be equal.
+        let mut t = Tree::new(3, 2);
+        t.set_internal(0, 0, 0, 0.5, true);
+        t.set_leaf(2, &[3.0, -3.0]);
+        t.set_internal(1, 1, 0, 0.5, false);
+        t.set_leaf(4, &[2.0, -2.0]);
+        t.set_leaf(3, &[1.0, -1.0]);
+        let mut m = GbdtModel::new(Objective::Softmax { n_classes: 2 }, 0.1, 2);
+        m.trees.push(t);
+        let back = GbdtModel::decode_bytes(&m.encode_bytes()).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.trees[0].leaf_values(4), &[2.0, -2.0]);
+        let mut other = m.clone();
+        other.trees[0].set_leaf(4, &[2.0, -2.5]);
+        assert_ne!(other, m);
     }
 
     #[test]

@@ -80,7 +80,12 @@ impl QuantileSketch {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.levels[0].push(value);
-        self.compact_cascade();
+        // Every level is within capacity between calls (the cascade leaves
+        // it so, and decoding rejects anything else), so only an overflow
+        // of level 0 can give the cascade work.
+        if self.levels[0].len() > self.capacity {
+            self.compact_cascade();
+        }
     }
 
     /// Merges another sketch into this one.
@@ -152,17 +157,30 @@ impl QuantileSketch {
 
     /// `q` candidate split values at quantiles `1/q, 2/q, …, 1`, deduplicated
     /// and ending at the exact maximum so every value maps to some bin.
+    ///
+    /// Each cut is exactly [`Self::quantile`] at its φ, but the items are
+    /// sorted once and the q targets, which never decrease, are met in one
+    /// cumulative walk.
     pub fn candidate_splits(&self, q: usize) -> Vec<f32> {
         if self.n == 0 || q == 0 {
             return Vec::new();
         }
+        let items = self.weighted_items();
+        let total: u64 = items.iter().map(|&(_, w)| w).sum();
         let mut cuts = Vec::with_capacity(q);
+        // `cum` is the weight of the first `k` items; the answer for a
+        // target is the first item at which `cum` reaches it.
+        let (mut k, mut cum) = (0usize, 0u64);
         for i in 1..=q {
             let phi = i as f64 / q as f64;
-            if let Some(v) = self.quantile(phi) {
-                if cuts.last().is_none_or(|&last| v > last) {
-                    cuts.push(v);
-                }
+            let target = (phi * total as f64).ceil().max(1.0) as u64;
+            while cum < target && k < items.len() {
+                cum += items[k].1;
+                k += 1;
+            }
+            let v = if cum >= target { items[k - 1].0 } else { self.max };
+            if cuts.last().is_none_or(|&last| v > last) {
+                cuts.push(v);
             }
         }
         // Guarantee the exact maximum is covered WITHOUT exceeding q cuts:
@@ -222,11 +240,14 @@ impl QuantileSketch {
         let mut levels = Vec::with_capacity(n_levels.max(1));
         for _ in 0..n_levels {
             let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-            let mut level = Vec::with_capacity(len);
-            for _ in 0..len {
-                level.push(f32::from_le_bytes(take(4)?.try_into().ok()?));
+            // No sketch holds a level past capacity (`insert` relies on
+            // it), and `len` may not size an allocation before its bytes
+            // are there.
+            if len > capacity {
+                return None;
             }
-            levels.push(level);
+            let (values, _) = take(len.checked_mul(4)?)?.as_chunks::<4>();
+            levels.push(values.iter().map(|v| f32::from_le_bytes(*v)).collect());
         }
         if levels.is_empty() {
             levels.push(Vec::new());
@@ -359,6 +380,20 @@ mod tests {
         // Truncated input is rejected.
         assert!(QuantileSketch::decode_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(QuantileSketch::decode_bytes(&[1, 2, 3]).is_none());
+    }
+
+    #[test]
+    fn hostile_level_lengths_are_rejected_without_allocating() {
+        let s = filled((0..100).map(|i| i as f32));
+        let mut bytes = s.encode_bytes();
+        // Level 0's u32 length sits after the 25-byte header: claim 2^32 − 1
+        // values, 16 GiB, in a frame of a few hundred bytes.
+        bytes[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(QuantileSketch::decode_bytes(&bytes).is_none());
+        // A level over capacity is rejected too: no sketch can hold one.
+        let mut big = QuantileSketch::new(4);
+        big.levels[0] = vec![1.0; 5];
+        assert!(QuantileSketch::decode_bytes(&big.encode_bytes()).is_none());
     }
 
     #[test]

@@ -55,10 +55,12 @@ pub enum NodeKind {
         /// importance.
         gain: f64,
     },
-    /// A leaf carrying C output values (already scaled by η).
+    /// A leaf carrying C output values (already scaled by η). The values
+    /// live in the owning tree's leaf pool; read them with
+    /// [`Tree::leaf_values`].
     Leaf {
-        /// Per-class leaf values.
-        values: Vec<f64>,
+        /// Start of this leaf's C values in the tree's leaf pool.
+        offset: usize,
     },
 }
 
@@ -70,11 +72,17 @@ pub struct TreeNode {
 }
 
 /// One decision tree of the ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every leaf's C values sit in one pooled `Vec<f64>` per tree, so a tree
+/// costs two allocations however many leaves it has. Pool order is the
+/// order leaves were set (frontier order in training, id order after a
+/// decode); equality compares per-node values and ignores it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tree {
     n_layers: usize,
     n_outputs: usize,
     nodes: Vec<Option<TreeNode>>,
+    leaf_pool: Vec<f64>,
 }
 
 impl Tree {
@@ -82,7 +90,12 @@ impl Tree {
     /// C = `n_outputs` values per leaf.
     pub fn new(n_layers: usize, n_outputs: usize) -> Self {
         assert!((1..=24).contains(&n_layers), "n_layers out of range");
-        Tree { n_layers, n_outputs, nodes: vec![None; max_nodes(n_layers)] }
+        Tree { n_layers, n_outputs, nodes: vec![None; max_nodes(n_layers)], leaf_pool: Vec::new() }
+    }
+
+    /// Reserves pool room for `n_values` more leaf values (C per leaf).
+    pub(crate) fn reserve_leaf_values(&mut self, n_values: usize) {
+        self.leaf_pool.reserve(n_values);
     }
 
     /// Number of layers this tree may grow to.
@@ -134,14 +147,48 @@ impl Tree {
 
     /// Materializes a leaf from node statistics (Eq. 1), scaling by η.
     pub fn set_leaf_from_stats(&mut self, id: u32, stats: &NodeStats, lambda: f64, eta: f64) {
-        let values = stats.leaf_weights(lambda).into_iter().map(|w| w * eta).collect();
-        self.set_leaf(id, values);
+        let weights = stats.leaf_weights(lambda);
+        assert_eq!(weights.len(), self.n_outputs, "leaf arity mismatch");
+        for (v, w) in self.leaf_slot(id).iter_mut().zip(weights) {
+            *v = w * eta;
+        }
     }
 
     /// Materializes a leaf with explicit values.
-    pub fn set_leaf(&mut self, id: u32, values: Vec<f64>) {
+    pub fn set_leaf(&mut self, id: u32, values: &[f64]) {
         assert_eq!(values.len(), self.n_outputs, "leaf arity mismatch");
-        self.nodes[id as usize] = Some(TreeNode { kind: NodeKind::Leaf { values } });
+        self.leaf_slot(id).copy_from_slice(values);
+    }
+
+    /// Materializes leaf `id` and returns its C values for writing. A node
+    /// that already is a leaf keeps its pool slot (and values); any other
+    /// gets a fresh zeroed slot.
+    pub(crate) fn leaf_slot(&mut self, id: u32) -> &mut [f64] {
+        let offset = match &self.nodes[id as usize] {
+            Some(TreeNode { kind: NodeKind::Leaf { offset } }) => *offset,
+            _ => {
+                let offset = self.leaf_pool.len();
+                self.leaf_pool.resize(offset + self.n_outputs, 0.0);
+                self.nodes[id as usize] = Some(TreeNode { kind: NodeKind::Leaf { offset } });
+                offset
+            }
+        };
+        &mut self.leaf_pool[offset..offset + self.n_outputs]
+    }
+
+    /// The C values of leaf `id`.
+    ///
+    /// # Panics
+    /// When `id` is not a materialized leaf.
+    pub fn leaf_values(&self, id: u32) -> &[f64] {
+        match self.node(id) {
+            Some(TreeNode { kind: NodeKind::Leaf { offset } }) => self.pooled(*offset),
+            _ => panic!("node {id} is not a leaf"),
+        }
+    }
+
+    fn pooled(&self, offset: usize) -> &[f64] {
+        &self.leaf_pool[offset..offset + self.n_outputs]
     }
 
     /// Number of materialized nodes.
@@ -166,7 +213,7 @@ impl Tree {
         let mut id = 0u32;
         loop {
             match &self.node(id).expect("tree traversal reached a missing node").kind {
-                NodeKind::Leaf { values } => return values,
+                NodeKind::Leaf { offset } => return self.pooled(*offset),
                 NodeKind::Internal { feature, bin, threshold, default_left, .. } => {
                     let go_left = match lookup(*feature) {
                         LookupResult::Missing => *default_left,
@@ -214,6 +261,26 @@ impl Tree {
     }
 }
 
+impl PartialEq for Tree {
+    /// Same shape and the same nodes, leaves compared by value: two trees
+    /// whose leaves were set in different orders are equal.
+    fn eq(&self, other: &Tree) -> bool {
+        self.n_layers == other.n_layers
+            && self.n_outputs == other.n_outputs
+            && self.nodes.len() == other.nodes.len()
+            && (0..self.nodes.len() as u32).all(|id| match (self.node(id), other.node(id)) {
+                (None, None) => true,
+                (Some(a), Some(b)) => match (&a.kind, &b.kind) {
+                    (NodeKind::Leaf { .. }, NodeKind::Leaf { .. }) => {
+                        self.leaf_values(id) == other.leaf_values(id)
+                    }
+                    (a, b) => a == b,
+                },
+                _ => false,
+            })
+    }
+}
+
 /// Result of a feature lookup during tree traversal.
 #[derive(Debug, Clone, Copy)]
 pub enum LookupResult {
@@ -234,8 +301,8 @@ mod tests {
         // left leaf: +1, right leaf: -1
         let mut t = Tree::new(2, 1);
         t.set_internal(0, 0, 0, 1.5, false);
-        t.set_leaf(1, vec![1.0]);
-        t.set_leaf(2, vec![-1.0]);
+        t.set_leaf(1, &[1.0]);
+        t.set_leaf(2, &[-1.0]);
         t
     }
 
@@ -282,9 +349,9 @@ mod tests {
         let mut t = Tree::new(3, 1);
         t.set_internal(0, 0, 0, 0.0, true);
         t.set_internal(1, 1, 0, 10.0, true);
-        t.set_leaf(2, vec![5.0]);
-        t.set_leaf(3, vec![1.0]);
-        t.set_leaf(4, vec![2.0]);
+        t.set_leaf(2, &[5.0]);
+        t.set_leaf(3, &[1.0]);
+        t.set_leaf(4, &[2.0]);
         assert_eq!(t.predict_row(&[0, 1], &[-1.0, 3.0]), &[1.0]);
         assert_eq!(t.predict_row(&[0, 1], &[-1.0, 30.0]), &[2.0]);
         assert_eq!(t.predict_row(&[0], &[1.0]), &[5.0]);
@@ -312,24 +379,52 @@ mod tests {
     fn depth_and_visitor() {
         let mut t = Tree::new(3, 1);
         t.set_internal_with_gain(0, 5, 0, 0.0, true, 2.5);
-        t.set_leaf(1, vec![1.0]);
-        t.set_leaf(2, vec![-1.0]);
+        t.set_leaf(1, &[1.0]);
+        t.set_leaf(2, &[-1.0]);
         assert_eq!(t.depth(), 2);
         let mut seen = Vec::new();
         t.visit_internal(|f, _, g| seen.push((f, g)));
         assert_eq!(seen, vec![(5, 2.5)]);
         let t1 = {
             let mut t = Tree::new(1, 1);
-            t.set_leaf(0, vec![0.0]);
+            t.set_leaf(0, &[0.0]);
             t
         };
         assert_eq!(t1.depth(), 1);
     }
 
     #[test]
+    fn leaves_share_one_pool_and_reset_in_place() {
+        let mut t = Tree::new(2, 2);
+        t.set_internal(0, 0, 0, 0.5, true);
+        t.set_leaf(2, &[1.0, 2.0]);
+        t.set_leaf(1, &[3.0, 4.0]);
+        assert_eq!(t.leaf_values(1), &[3.0, 4.0]);
+        assert_eq!(t.leaf_values(2), &[1.0, 2.0]);
+        // Re-setting a leaf overwrites its slot instead of growing the pool.
+        t.set_leaf(2, &[5.0, 6.0]);
+        assert_eq!(t.leaf_pool.len(), 4);
+        assert_eq!(t.predict_row(&[0], &[1.0]), &[5.0, 6.0]);
+        // Equality is by node values, not pool order.
+        let mut u = Tree::new(2, 2);
+        u.set_internal(0, 0, 0, 0.5, true);
+        u.set_leaf(1, &[3.0, 4.0]);
+        u.set_leaf(2, &[5.0, 6.0]);
+        assert_eq!(t, u);
+        u.set_leaf(1, &[3.0, 4.5]);
+        assert_ne!(t, u);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a leaf")]
+    fn leaf_values_of_an_internal_node_panics() {
+        stump().leaf_values(0);
+    }
+
+    #[test]
     fn multiclass_leaves() {
         let mut t = Tree::new(1, 3);
-        t.set_leaf(0, vec![0.1, 0.2, 0.3]);
+        t.set_leaf(0, &[0.1, 0.2, 0.3]);
         assert_eq!(t.predict_row(&[], &[]), &[0.1, 0.2, 0.3]);
     }
 }

@@ -175,8 +175,8 @@ proptest! {
         for bin in 0..cut_values.len().saturating_sub(1) as u16 {
             let mut tree = Tree::new(2, 1);
             tree.set_internal(0, 0, bin, cuts.threshold(0, bin), false);
-            tree.set_leaf(1, vec![1.0]);
-            tree.set_leaf(2, vec![-1.0]);
+            tree.set_leaf(1, &[1.0]);
+            tree.set_leaf(2, &[-1.0]);
             for &raw in &raw_values {
                 let by_value = match raw {
                     Some(v) => tree.predict_row(&[0], &[v as f32])[0],
@@ -274,7 +274,7 @@ fn random_tree(seed: &mut u64, n_layers: usize, n_outputs: usize) -> Tree {
             frontier.push(l);
             frontier.push(r);
         } else {
-            tree.set_leaf(id, (0..n_outputs).map(|_| unit_f64(seed)).collect());
+            tree.set_leaf(id, &(0..n_outputs).map(|_| unit_f64(seed)).collect::<Vec<_>>());
         }
     }
     tree

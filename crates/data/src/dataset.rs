@@ -53,6 +53,14 @@ impl FeatureMatrix {
         }
     }
 
+    /// Rows `lo..hi` as a CSR matrix, copying only those rows.
+    pub fn csr_rows(&self, lo: usize, hi: usize) -> CsrMatrix {
+        match self {
+            FeatureMatrix::Sparse(m) => m.slice_rows(lo, hi),
+            FeatureMatrix::Dense(m) => m.rows_to_csr(lo, hi),
+        }
+    }
+
     /// Bytes of heap storage used.
     pub fn heap_bytes(&self) -> usize {
         match self {

@@ -72,11 +72,18 @@ impl DenseMatrix {
 
     /// Converts to a CSR matrix, keeping explicit zeros out of the storage.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
+        self.rows_to_csr(0, self.n_rows)
+    }
+
+    /// Converts rows `lo..hi` to a CSR matrix, keeping explicit zeros out
+    /// of the storage.
+    pub(crate) fn rows_to_csr(&self, lo: usize, hi: usize) -> CsrMatrix {
+        assert!(lo <= hi && hi <= self.n_rows, "row slice out of range");
+        let mut row_ptr = Vec::with_capacity(hi - lo + 1);
         row_ptr.push(0usize);
         let mut col_idx = Vec::new();
         let mut vals = Vec::new();
-        for i in 0..self.n_rows {
+        for i in lo..hi {
             for (j, &v) in self.row(i).iter().enumerate() {
                 if v != 0.0 {
                     col_idx.push(j as FeatureId);
@@ -85,7 +92,7 @@ impl DenseMatrix {
             }
             row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_parts(self.n_rows, self.n_cols, row_ptr, col_idx, vals)
+        CsrMatrix::from_parts(hi - lo, self.n_cols, row_ptr, col_idx, vals)
             .expect("dense-to-CSR conversion preserves invariants")
     }
 

@@ -193,7 +193,7 @@ pub fn shard_dataset(
     rank: usize,
 ) -> gbdt_data::Dataset {
     let (lo, hi) = partition.bounds(rank);
-    let csr = dataset.features.to_csr().slice_rows(lo, hi);
+    let csr = dataset.features.csr_rows(lo, hi);
     gbdt_data::Dataset::new(
         gbdt_data::FeatureMatrix::Sparse(csr),
         dataset.labels[lo..hi].to_vec(),
@@ -292,6 +292,35 @@ mod tests {
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].comp_seconds, 1.0);
         assert_eq!(merged[0].comm_seconds, 2.0);
+    }
+
+    #[test]
+    fn shards_equal_slices_of_the_whole_csr_copy() {
+        use gbdt_data::{Dataset, DenseMatrix, FeatureMatrix};
+        use gbdt_partition::HorizontalPartition;
+        // Every third cell is an explicit zero, which CSR storage drops.
+        let rows: Vec<Vec<f32>> = (0..23)
+            .map(|i| {
+                (0..5)
+                    .map(|j| if (i + j) % 3 == 0 { 0.0 } else { (i * 5 + j) as f32 * 0.5 })
+                    .collect()
+            })
+            .collect();
+        let dense = DenseMatrix::from_rows(&rows).unwrap();
+        let labels: Vec<f32> = (0..23).map(|i| (i % 2) as f32).collect();
+        for features in [FeatureMatrix::Sparse(dense.to_csr()), FeatureMatrix::Dense(dense)] {
+            let ds = Dataset::new(features, labels.clone(), 2, "t").unwrap();
+            for world in 1..=4 {
+                let partition = HorizontalPartition::new(23, world);
+                for rank in 0..world {
+                    let (lo, hi) = partition.bounds(rank);
+                    let shard = shard_dataset(&ds, partition, rank);
+                    let whole = FeatureMatrix::Sparse(ds.features.to_csr().slice_rows(lo, hi));
+                    assert_eq!(shard.features, whole, "world {world} rank {rank}");
+                    assert_eq!(shard.labels, &ds.labels[lo..hi]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use gbdt_core::histogram::HistogramPool;
 use gbdt_core::indexes::NodeToInstanceIndex;
 use gbdt_core::parallel::Meter;
 use gbdt_core::split::{best_split_parallel, NodeStats, Split, SplitParams};
-use gbdt_core::tree::{self, NodeKind, Tree};
+use gbdt_core::tree::{self, Tree};
 use gbdt_core::{BinCuts, GbdtModel, GradBuffer, TrainConfig};
 use gbdt_data::block::BlockedRows;
 use gbdt_data::{FeatureId, InstanceId};
@@ -259,14 +259,6 @@ pub(crate) fn subtraction_schedule(
         .collect()
 }
 
-/// A leaf's output values.
-pub(crate) fn leaf_values(tree: &Tree, node: u32) -> &[f64] {
-    match &tree.node(node).expect("leaf set").kind {
-        NodeKind::Leaf { values } => values,
-        NodeKind::Internal { .. } => unreachable!("instances only finish on leaves"),
-    }
-}
-
 /// [`DataPolicy::add_leaf_scores`] for node-to-instance indexes.
 pub(crate) fn add_leaf_scores(
     index: &NodeToInstanceIndex,
@@ -275,7 +267,7 @@ pub(crate) fn add_leaf_scores(
     scores: &mut [f64],
 ) {
     for &leaf in leaves {
-        let values = leaf_values(tree, leaf);
+        let values = tree.leaf_values(leaf);
         for &i in index.instances(leaf) {
             let base = i as usize * values.len();
             for (k, &v) in values.iter().enumerate() {

@@ -14,7 +14,7 @@ use crate::common::{
     all_reduce_counts, all_reduce_root, record_layer_wire_bytes, shard_dataset, worker_threads,
     DistTrainResult, Frontier,
 };
-use crate::driver::{self, leaf_values, DataPolicy};
+use crate::driver::{self, DataPolicy};
 use gbdt_cluster::{Cluster, CommError, Phase, WorkerCtx};
 use gbdt_core::histogram::{add_instance_to_feature_slice, histogram_size_bytes, NodeHistogram};
 use gbdt_core::indexes::InstanceToNodeIndex;
@@ -176,7 +176,7 @@ impl DataPolicy for Qd1<'_> {
     fn add_leaf_scores(&self, tree: &Tree, _leaves: &[u32], scores: &mut [f64]) {
         let c = self.config.n_outputs();
         for (i, row) in scores.chunks_exact_mut(c).enumerate() {
-            let values = leaf_values(tree, self.index.node_of(i as InstanceId));
+            let values = tree.leaf_values(self.index.node_of(i as InstanceId));
             for (s, &v) in row.iter_mut().zip(values) {
                 *s += v;
             }

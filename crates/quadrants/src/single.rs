@@ -147,10 +147,7 @@ pub fn train_prebinned(
 
         // Apply leaf outputs to the running scores.
         for &leaf in &leaves {
-            let values = match &tree.node(leaf).expect("leaf materialized").kind {
-                gbdt_core::tree::NodeKind::Leaf { values } => values.clone(),
-                _ => unreachable!("leaf node is a leaf"),
-            };
+            let values = tree.leaf_values(leaf);
             for &i in index.instances(leaf) {
                 let base = i as usize * c;
                 for (k, &v) in values.iter().enumerate() {

@@ -202,7 +202,7 @@ fn client_loop(
     rows: &[f32],
     n_features: usize,
     expected: &[Expectation],
-    publish_payloads: &[(usize, Vec<u8>)],
+    publish_payloads: &[(usize, Bytes)],
     clock: Clock,
 ) -> ClientOutcome {
     let mut out = ClientOutcome::default();
@@ -212,7 +212,7 @@ fn client_loop(
     for i in 0..cfg.requests_per_client {
         for &(at, ref payload) in publish_payloads {
             if at == i {
-                let _ = comm.send(ROUTER_RANK, SERVE_PUBLISH_TAG, Bytes::from(payload.clone()));
+                let _ = comm.send(ROUTER_RANK, SERVE_PUBLISH_TAG, payload.clone());
                 // Best-effort ack wait: a lost ack must not stall traffic —
                 // verification keys on the stamped version either way.
                 let ack_deadline_s = clock.elapsed_s() + patience_s;
@@ -347,11 +347,13 @@ pub fn run_avail(
         })
         .collect();
     // The first client publishes model k at an evenly spaced index.
-    let publish_payloads: Vec<(usize, Vec<u8>)> = models
+    let publish_payloads: Vec<(usize, Bytes)> = models
         .iter()
         .enumerate()
         .skip(1)
-        .map(|(k, m)| (k * cfg.requests_per_client / models.len(), m.encode_bytes()))
+        .map(|(k, m)| {
+            (k * cfg.requests_per_client / models.len(), Bytes::from(m.encode_bytes()))
+        })
         .collect();
 
     let world = 1 + cfg.n_replicas + cfg.n_clients;
@@ -385,7 +387,7 @@ pub fn run_avail(
         let cfg_ref = &cfg;
         let router_cfg = &router_cfg;
         let router = scope.spawn(move || {
-            run_router(&router_comm, router_cfg, model_bytes, cfg_ref.n_clients)
+            run_router(&router_comm, router_cfg, &model_bytes, cfg_ref.n_clients)
         });
         let mut replica_handles = Vec::new();
         for (comm, slot) in replica_comms.into_iter().zip(&slots) {
@@ -398,7 +400,7 @@ pub fn run_avail(
         for (idx, comm) in client_comms.into_iter().enumerate() {
             let rows = &batches[idx];
             let expected = &expectations[idx];
-            let publishes: &[(usize, Vec<u8>)] =
+            let publishes: &[(usize, Bytes)] =
                 if idx == 0 { &publish_payloads } else { &[] };
             client_handles.push(scope.spawn(move || {
                 let outcome = client_loop(
@@ -492,8 +494,8 @@ mod tests {
         for k in 0..n_trees {
             let mut t = Tree::new(2, 1);
             t.set_internal(0, (k % 4) as u32, 0, 0.25, true);
-            t.set_leaf(1, vec![l + k as f64 * 0.125]);
-            t.set_leaf(2, vec![r - k as f64 * 0.125]);
+            t.set_leaf(1, &[l + k as f64 * 0.125]);
+            t.set_leaf(2, &[r - k as f64 * 0.125]);
             m.trees.push(t);
         }
         m

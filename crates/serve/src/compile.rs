@@ -25,7 +25,8 @@
 
 use gbdt_core::model::GbdtModel;
 use gbdt_core::tree::{children, NodeKind, Tree};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 /// One flattened tree node: 16 bytes, so a 1024-node tree block is
 /// 16 KiB — half a typical L1d.
@@ -187,6 +188,10 @@ impl CompiledEnsemble {
 /// function of the node array — deterministic). Slot 0 of every table is
 /// reserved for the `+∞` leaf sentinel; that keeps `slot == 0` an
 /// unambiguous leaf test, since interned cuts start at slot 1.
+///
+/// One pass over the nodes with one interner lookup per internal node: a
+/// node's slot is final the moment its cut is first seen, because slots
+/// are feature-local; only the tables' concatenation waits for the end.
 fn build_quant(nodes: &[FlatNode], tree_off: &[u32], n_features: usize) -> Option<QuantLayout> {
     if n_features > u16::MAX as usize + 1 {
         return None;
@@ -194,46 +199,35 @@ fn build_quant(nodes: &[FlatNode], tree_off: &[u32], n_features: usize) -> Optio
     // A leaf is exactly a self-looping node. Tree-local slots make the
     // test unambiguous: an internal node's left child is always a later
     // slot, so `left == own slot` can never hold for one.
-    let is_leaf = |global: usize| {
-        let t = tree_off.partition_point(|&off| off as usize <= global) - 1;
-        nodes[global].left as usize == global - tree_off[t] as usize
+    let trees = || {
+        tree_off.windows(2).flat_map(|w| {
+            let base = w[0] as usize;
+            (base..w[1] as usize).map(move |g| (g, nodes[g].left as usize == g - base))
+        })
     };
-    // Pass 1: intern each feature's distinct thresholds. `slot_of` maps
-    // (feature, threshold bits) → 1-based slot; only keyed lookups, never
-    // iterated, so hash order cannot reach the layout.
-    let mut per_feat_cuts: Vec<Vec<f32>> = vec![Vec::new(); n_features];
-    let mut slot_of: HashMap<(u16, u32), u16> = HashMap::new();
-    for (g, n) in nodes.iter().enumerate() {
-        if is_leaf(g) {
-            continue; // leaves use the reserved slot-0 sentinel
-        }
-        let feat = n.feature() as u16;
-        let key = (feat, n.threshold.to_bits());
-        if let std::collections::hash_map::Entry::Vacant(e) = slot_of.entry(key) {
-            let table = &mut per_feat_cuts[feat as usize];
-            if table.len() >= u16::MAX as usize {
-                return None; // > 65535 distinct cuts on one feature
-            }
-            table.push(n.threshold);
-            e.insert(table.len() as u16);
-        }
-    }
-    // Pass 2: concatenate the tables (sentinel-first) and translate nodes.
-    let mut cut_base = Vec::with_capacity(n_features + 1);
-    let mut cuts = Vec::new();
-    for table in &per_feat_cuts {
-        cut_base.push(cuts.len() as u32);
-        cuts.push(f32::INFINITY);
-        cuts.extend_from_slice(table);
-    }
-    cut_base.push(cuts.len() as u32);
+    let n_internal = trees().filter(|&(_, leaf)| !leaf).count();
+    let mut slot_of = CutInterner::with_capacity(n_internal);
+    let mut n_cuts = vec![0u16; n_features];
+    // Distinct cuts in first-seen order, as (feature, slot, cut).
+    let mut distinct: Vec<(u16, u16, f32)> = Vec::new();
     let mut qnodes = Vec::with_capacity(nodes.len());
-    for (g, n) in nodes.iter().enumerate() {
-        let (feat, slot, link) = if is_leaf(g) {
-            (0u16, 0u16, n.payload)
+    for (g, leaf) in trees() {
+        let n = nodes[g];
+        let (feat, slot, link) = if leaf {
+            (0u16, 0u16, n.payload) // leaves use the reserved slot-0 sentinel
         } else {
             let feat = n.feature() as u16;
-            (feat, slot_of[&(feat, n.threshold.to_bits())], n.left)
+            let key = u64::from(feat) << 32 | u64::from(n.threshold.to_bits());
+            let slot = slot_of.intern(key, || {
+                let count = &mut n_cuts[feat as usize];
+                if *count == u16::MAX {
+                    return None; // > 65535 distinct cuts on one feature
+                }
+                *count += 1;
+                distinct.push((feat, *count, n.threshold));
+                Some(*count)
+            })?;
+            (feat, slot, n.left)
         };
         if link & QUANT_DEFAULT_LEFT_BIT != 0 {
             return None; // child slot / payload overflows the 31-bit link
@@ -241,13 +235,68 @@ fn build_quant(nodes: &[FlatNode], tree_off: &[u32], n_features: usize) -> Optio
         let dl = if n.default_left() == 1 { QUANT_DEFAULT_LEFT_BIT } else { 0 };
         qnodes.push(QuantNode { feat, slot, meta: dl | link });
     }
+    // Concatenate the tables, sentinel-first.
+    let mut cut_base = Vec::with_capacity(n_features + 1);
+    let mut total = 0usize;
+    for &k in &n_cuts {
+        cut_base.push(total as u32);
+        total += 1 + k as usize;
+    }
+    cut_base.push(total as u32);
+    let mut cuts = vec![f32::INFINITY; total];
+    for (feat, slot, cut) in distinct {
+        cuts[cut_base[feat as usize] as usize + slot as usize] = cut;
+    }
     Some(QuantLayout { nodes: qnodes, cut_base, cuts })
 }
 
-/// Compiles one tree, appending into the ensemble-wide pools.
+/// [`build_quant`]'s interner: an open-addressing table from a packed
+/// `feature << 32 | threshold bits` key to its 1-based cut slot.
+///
+/// Each entry is one `u64`, `key << 16 | slot`; zero is empty, since
+/// slots start at 1. The table is sized once to at least twice the keys it
+/// can receive, so it never grows and linear probes stay short. The probe
+/// start is a folded multiply seeded from [`RandomState`] per compile, as
+/// std seeds SipHash, so a model cannot be built to collide in it. The
+/// table is only probed, never iterated, so neither the seed nor the
+/// probe order can reach the layout.
+struct CutInterner {
+    entries: Vec<u64>,
+    seed: u64,
+}
+
+impl CutInterner {
+    fn with_capacity(n_keys: usize) -> Self {
+        let len = (2 * n_keys).next_power_of_two();
+        CutInterner { entries: vec![0; len], seed: RandomState::new().build_hasher().finish() }
+    }
+
+    /// The slot of `key`; an unseen key gets the slot `new_slot` returns,
+    /// and `None` from it aborts the intern.
+    fn intern(&mut self, key: u64, new_slot: impl FnOnce() -> Option<u16>) -> Option<u16> {
+        let mask = self.entries.len() - 1;
+        let m = u128::from(key ^ self.seed) * 0x9e37_79b9_7f4a_7c15;
+        let mut i = (m as u64 ^ (m >> 64) as u64) as usize & mask;
+        loop {
+            match self.entries[i] {
+                0 => {
+                    let slot = new_slot()?;
+                    self.entries[i] = key << 16 | u64::from(slot);
+                    return Some(slot);
+                }
+                e if e >> 16 == key => return Some(e as u16),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
+/// Compiles one tree, appending into the ensemble-wide pools. `order` is
+/// scratch shared across trees.
 fn compile_tree(
     tree: &Tree,
     t: usize,
+    order: &mut Vec<u32>,
     nodes: &mut Vec<FlatNode>,
     leaf_values: &mut Vec<f64>,
     n_features: usize,
@@ -256,7 +305,8 @@ fn compile_tree(
     // BFS order doubles as the slot assignment: `order[slot]` is the
     // complete-tree id placed at that slot, and pushing both children
     // together makes them adjacent.
-    let mut order: Vec<u32> = vec![0];
+    order.clear();
+    order.push(0);
     let mut slot = 0usize;
     while slot < order.len() {
         let id = order[slot];
@@ -284,12 +334,12 @@ fn compile_tree(
                     payload: 0,
                 });
             }
-            NodeKind::Leaf { values } => {
+            NodeKind::Leaf { .. } => {
                 let payload = leaf_values.len();
                 if payload > u32::MAX as usize {
                     return Err(format!("tree {t}: leaf pool exceeds u32 offsets"));
                 }
-                leaf_values.extend_from_slice(values);
+                leaf_values.extend_from_slice(tree.leaf_values(id));
                 nodes.push(FlatNode {
                     feat_dl: DEFAULT_LEFT_BIT, // feature 0, missing → left
                     threshold: f32::INFINITY,
@@ -320,16 +370,20 @@ pub fn compile(model: &GbdtModel, version: u64) -> Result<CompiledEnsemble, Stri
             model.init_scores.len()
         ));
     }
-    let mut nodes = Vec::new();
-    let mut leaf_values = Vec::new();
+    // Sized for every materialized node up front (reachable ones are at
+    // most that), so the pools never regrow mid-compile.
+    let mut nodes = Vec::with_capacity(model.trees.iter().map(Tree::n_nodes).sum());
+    let mut leaf_values =
+        Vec::with_capacity(model.trees.iter().map(|t| t.n_leaves() * t.n_outputs()).sum());
     let mut tree_off = Vec::with_capacity(model.trees.len() + 1);
     let mut tree_steps = Vec::with_capacity(model.trees.len());
+    let mut order = Vec::new();
     for (t, tree) in model.trees.iter().enumerate() {
         if tree.n_outputs() != n_outputs {
             return Err(format!("tree {t}: arity {} != model C {n_outputs}", tree.n_outputs()));
         }
         tree_off.push(nodes.len() as u32);
-        compile_tree(tree, t, &mut nodes, &mut leaf_values, n_features)?;
+        compile_tree(tree, t, &mut order, &mut nodes, &mut leaf_values, n_features)?;
         tree_steps.push(tree.depth().saturating_sub(1) as u32);
     }
     if nodes.len() > u32::MAX as usize {
@@ -360,9 +414,9 @@ mod tests {
         let mut t = Tree::new(3, 1);
         t.set_internal(0, 2, 0, 0.5, true);
         t.set_internal(1, 0, 0, -1.0, false);
-        t.set_leaf(2, vec![3.0]);
-        t.set_leaf(3, vec![1.0]);
-        t.set_leaf(4, vec![2.0]);
+        t.set_leaf(2, &[3.0]);
+        t.set_leaf(3, &[1.0]);
+        t.set_leaf(4, &[2.0]);
         m.trees.push(t);
         m
     }
@@ -397,7 +451,7 @@ mod tests {
         let mut broken = GbdtModel::new(Objective::SquaredError, 0.1, 3);
         let mut t = Tree::new(2, 1);
         t.set_internal(0, 0, 0, 0.5, true);
-        t.set_leaf(1, vec![1.0]);
+        t.set_leaf(1, &[1.0]);
         // Node 2 never materialized.
         broken.trees.push(t);
         assert!(compile(&broken, 0).unwrap_err().contains("not materialized"));
@@ -405,8 +459,8 @@ mod tests {
         let mut wide = GbdtModel::new(Objective::SquaredError, 0.1, 1);
         let mut t = Tree::new(2, 1);
         t.set_internal(0, 5, 0, 0.5, true); // feature 5 > n_features 1
-        t.set_leaf(1, vec![1.0]);
-        t.set_leaf(2, vec![2.0]);
+        t.set_leaf(1, &[1.0]);
+        t.set_leaf(2, &[2.0]);
         wide.trees.push(t);
         assert!(compile(&wide, 0).unwrap_err().contains("out of range"));
     }
@@ -462,8 +516,8 @@ mod tests {
         for k in 0..70_000u32 {
             let mut t = Tree::new(2, 1);
             t.set_internal(0, 0, 0, 1e-3 * k as f32, true);
-            t.set_leaf(1, vec![1.0]);
-            t.set_leaf(2, vec![-1.0]);
+            t.set_leaf(1, &[1.0]);
+            t.set_leaf(2, &[-1.0]);
             m.trees.push(t);
         }
         let c = compile(&m, 0).unwrap();

@@ -553,7 +553,7 @@ mod tests {
                 frontier.push(l);
                 frontier.push(r);
             } else {
-                tree.set_leaf(id, (0..n_outputs).map(|_| unit(seed)).collect());
+                tree.set_leaf(id, &(0..n_outputs).map(|_| unit(seed)).collect::<Vec<_>>());
             }
         }
         tree

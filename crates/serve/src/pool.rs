@@ -129,9 +129,9 @@ mod tests {
             let mut t = Tree::new(3, 1);
             t.set_internal(0, (k % n_features) as u32, 0, 0.25, k % 2 == 0);
             t.set_internal(1, ((k + 1) % n_features) as u32, 0, -0.5, true);
-            t.set_leaf(3, vec![(k as f64 + 1.0) * 0.125]);
-            t.set_leaf(4, vec![-0.0625]);
-            t.set_leaf(2, vec![0.5 - k as f64 * 0.03125]);
+            t.set_leaf(3, &[(k as f64 + 1.0) * 0.125]);
+            t.set_leaf(4, &[-0.0625]);
+            t.set_leaf(2, &[0.5 - k as f64 * 0.03125]);
             m.trees.push(t);
         }
         m

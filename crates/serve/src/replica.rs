@@ -157,7 +157,7 @@ fn replica_loop(
             _ => {
                 // SERVE_PUBLISH_TAG
                 match PublishFrame::decode(&payload) {
-                    Ok(frame) => match apply_publish(slot, &frame) {
+                    Ok(frame) => match apply_publish(slot, frame) {
                         Ok(applied) => {
                             if applied {
                                 stats.publishes += 1;
@@ -178,13 +178,14 @@ fn replica_loop(
     }
 }
 
-/// Seats a router-versioned publish; `Ok(false)` means it was stale
-/// (version ≤ served — a delayed or re-sent frame) and was skipped.
-fn apply_publish(slot: &ModelSlot, frame: &PublishFrame) -> Result<bool, String> {
+/// Seats a router-versioned publish, decoding the model straight from the
+/// received frame; `Ok(false)` means it was stale (version ≤ served — a
+/// delayed or re-sent frame) and was skipped.
+fn apply_publish(slot: &ModelSlot, frame: PublishFrame<'_>) -> Result<bool, String> {
     if frame.version <= slot.version() {
         return Ok(false);
     }
-    let model = gbdt_core::model::GbdtModel::decode_bytes(&frame.model_bytes)?;
+    let model = gbdt_core::model::GbdtModel::decode_bytes(frame.model_bytes)?;
     slot.publish_versioned(&model, frame.version)?;
     Ok(true)
 }
@@ -239,7 +240,7 @@ pub fn run_replica(
                             frames_handled += 1;
                             match PublishFrame::decode(&payload) {
                                 Ok(frame) => {
-                                    match apply_publish(slot, &frame) {
+                                    match apply_publish(slot, frame) {
                                         Ok(true) => stats.publishes += 1,
                                         Ok(false) => stats.stale_publishes += 1,
                                         Err(_) => {

@@ -171,14 +171,16 @@ struct Router<'a> {
     outstanding: HashMap<u64, Outstanding>,
     next_rid: u64,
     version: u64,
-    model_bytes: Vec<u8>,
+    /// The current version's encoded [`PublishFrame`], made once per
+    /// version and shared by every broadcast and resync.
+    frame: Bytes,
     latencies_s: Vec<f64>,
     last_ping_s: f64,
     stats: RouterStats,
 }
 
 impl<'a> Router<'a> {
-    fn new(comm: &'a Comm, cfg: RouterConfig, model_bytes: Vec<u8>, clock: Clock) -> Self {
+    fn new(comm: &'a Comm, cfg: RouterConfig, model_bytes: &[u8], clock: Clock) -> Self {
         let replicas = (1..=cfg.n_replicas)
             .map(|rank| Replica {
                 rank,
@@ -197,7 +199,7 @@ impl<'a> Router<'a> {
             outstanding: HashMap::new(),
             next_rid: 1,
             version: 1,
-            model_bytes,
+            frame: Bytes::from(PublishFrame { version: 1, model_bytes }.encode()),
             latencies_s: Vec::new(),
             last_ping_s: 0.0,
             stats: RouterStats::default(),
@@ -386,18 +388,16 @@ impl<'a> Router<'a> {
     }
 
     /// A publish from a trainer/client: version it, broadcast, ack.
-    fn handle_publish(&mut self, publisher: usize, payload: Vec<u8>) {
-        if gbdt_core::model::GbdtModel::decode_bytes(&payload).is_err() {
+    fn handle_publish(&mut self, publisher: usize, payload: &[u8]) {
+        if gbdt_core::model::GbdtModel::decode_bytes(payload).is_err() {
             self.stats.malformed += 1;
             self.respond_ack(publisher, 0);
             return;
         }
         self.version += 1;
-        self.model_bytes = payload;
+        self.frame =
+            Bytes::from(PublishFrame { version: self.version, model_bytes: payload }.encode());
         self.stats.publishes += 1;
-        let frame =
-            PublishFrame { version: self.version, model_bytes: self.model_bytes.clone() }
-                .encode();
         let up: Vec<usize> = self
             .replicas
             .iter()
@@ -405,7 +405,7 @@ impl<'a> Router<'a> {
             .map(|r| r.rank)
             .collect();
         for rank in up {
-            if self.comm.send(rank, SERVE_PUBLISH_TAG, Bytes::from(frame.clone())).is_err() {
+            if self.comm.send(rank, SERVE_PUBLISH_TAG, self.frame.clone()).is_err() {
                 self.mark_down(rank);
             }
         }
@@ -421,10 +421,7 @@ impl<'a> Router<'a> {
 
     /// Resyncs `replica` to the current model (recover or lagging pong).
     fn resync(&mut self, replica: usize) {
-        let frame =
-            PublishFrame { version: self.version, model_bytes: self.model_bytes.clone() }
-                .encode();
-        if self.comm.send(replica, SERVE_PUBLISH_TAG, Bytes::from(frame)).is_err() {
+        if self.comm.send(replica, SERVE_PUBLISH_TAG, self.frame.clone()).is_err() {
             self.mark_down(replica);
         }
     }
@@ -554,7 +551,7 @@ impl<'a> Router<'a> {
                         self.handle_reply(from, &payload, now_s);
                     }
                     SERVE_PUBLISH_TAG if from >= first_client => {
-                        self.handle_publish(from, payload.to_vec());
+                        self.handle_publish(from, &payload);
                     }
                     SERVE_ACK_TAG if from >= 1 && from < first_client => {
                         match payload.as_ref().try_into().map(u64::from_le_bytes) {
@@ -615,14 +612,14 @@ impl<'a> Router<'a> {
 /// outstanding, then stops the replica group.
 ///
 /// `model_bytes` is the [`GbdtModel::encode_bytes`] payload of the
-/// version-1 model every replica was seated with (kept for resyncing
-/// recovering replicas).
+/// version-1 model every replica was seated with (framed once, for
+/// resyncing recovering replicas).
 ///
 /// [`GbdtModel::encode_bytes`]: gbdt_core::model::GbdtModel::encode_bytes
 pub fn run_router(
     comm: &Comm,
     cfg: &RouterConfig,
-    model_bytes: Vec<u8>,
+    model_bytes: &[u8],
     n_clients: usize,
 ) -> Result<RouterStats, CommError> {
     assert_eq!(comm.rank(), ROUTER_RANK, "router must run on rank 0");

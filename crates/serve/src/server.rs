@@ -256,8 +256,8 @@ mod tests {
         let mut m = GbdtModel::new(Objective::SquaredError, 0.1, 2);
         let mut t = Tree::new(2, 1);
         t.set_internal(0, 0, 0, 0.5, true);
-        t.set_leaf(1, vec![leaf_left]);
-        t.set_leaf(2, vec![leaf_right]);
+        t.set_leaf(1, &[leaf_left]);
+        t.set_leaf(2, &[leaf_right]);
         m.trees.push(t);
         m
     }

@@ -148,7 +148,7 @@ fn client_loop(
     rows: &[f32],
     n_features: usize,
     expected_by_version: &[Vec<f64>],
-    publish_payloads: &[(usize, Vec<u8>)],
+    publish_payloads: &[(usize, Bytes)],
     clock: Clock,
 ) -> ClientOutcome {
     let mut out = ClientOutcome {
@@ -164,7 +164,7 @@ fn client_loop(
         for &(at, ref payload) in publish_payloads {
             if at == i {
                 if let Err(e) =
-                    comm.send(0, SERVE_PUBLISH_TAG, Bytes::from(payload.clone()))
+                    comm.send(0, SERVE_PUBLISH_TAG, payload.clone())
                 {
                     out.error = Some(format!("publish send: {e}"));
                     return out;
@@ -263,12 +263,12 @@ pub fn run_traffic(models: &[GbdtModel], cfg: &TrafficConfig) -> Result<ServeRun
         .map(|m| batches.iter().map(|rows| walk_scores(m, rows, n_features)).collect())
         .collect();
     // Client 1 publishes model k at an evenly spaced request index.
-    let publish_payloads: Vec<(usize, Vec<u8>)> = models
+    let publish_payloads: Vec<(usize, Bytes)> = models
         .iter()
         .enumerate()
         .skip(1)
         .map(|(k, m)| {
-            (k * cfg.requests_per_client / models.len(), m.encode_bytes())
+            (k * cfg.requests_per_client / models.len(), Bytes::from(m.encode_bytes()))
         })
         .collect();
 
@@ -300,7 +300,7 @@ pub fn run_traffic(models: &[GbdtModel], cfg: &TrafficConfig) -> Result<ServeRun
             let rows = &batches[idx];
             let expected_by_version: Vec<Vec<f64>> =
                 expected.iter().map(|per_client| per_client[idx].clone()).collect();
-            let publishes: Vec<(usize, Vec<u8>)> =
+            let publishes: Vec<(usize, Bytes)> =
                 if client == 1 { publish_payloads.clone() } else { Vec::new() };
             handles.push(scope.spawn(move || {
                 let outcome = client_loop(
@@ -379,8 +379,8 @@ mod tests {
         for k in 0..n_trees {
             let mut t = Tree::new(2, 1);
             t.set_internal(0, (k % 4) as u32, 0, 0.25, true);
-            t.set_leaf(1, vec![l]);
-            t.set_leaf(2, vec![r]);
+            t.set_leaf(1, &[l]);
+            t.set_leaf(2, &[r]);
             m.trees.push(t);
         }
         m

@@ -179,32 +179,36 @@ impl PublishAck {
 /// A model publish as the router re-broadcasts it to replicas: the router
 /// assigns the version so every replica in the group serves globally
 /// consistent version numbers even if one missed an earlier publish.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublishFrame {
+///
+/// The model bytes are borrowed: the router encodes a frame once per
+/// version and shares it with every replica, and a replica decodes the
+/// model straight out of the received buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PublishFrame<'a> {
     /// Router-assigned version for this model.
     pub version: u64,
     /// [`GbdtModel::encode_bytes`] payload.
     ///
     /// [`GbdtModel::encode_bytes`]: gbdt_core::model::GbdtModel::encode_bytes
-    pub model_bytes: Vec<u8>,
+    pub model_bytes: &'a [u8],
 }
 
-impl PublishFrame {
+impl<'a> PublishFrame<'a> {
     /// Encodes: `version · n_bytes · model bytes`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.model_bytes.len());
         out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&(self.model_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.model_bytes);
+        out.extend_from_slice(self.model_bytes);
         out
     }
 
-    /// Decodes [`Self::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
+    /// Decodes [`Self::encode`] output, borrowing the model bytes.
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, String> {
         let mut r = Cursor { bytes, pos: 0 };
         let version = r.u64()?;
         let n_bytes = r.u64()? as usize;
-        let model_bytes = r.take(n_bytes)?.to_vec();
+        let model_bytes = r.take(n_bytes)?;
         r.finish()?;
         Ok(PublishFrame { version, model_bytes })
     }
@@ -296,7 +300,7 @@ mod tests {
         assert!(back.scores.is_empty());
         let ack = PublishAck { version: 11 };
         assert_eq!(PublishAck::decode(&ack.encode()).unwrap(), ack);
-        let publish = PublishFrame { version: 4, model_bytes: vec![1, 2, 3, 4, 5] };
+        let publish = PublishFrame { version: 4, model_bytes: &[1, 2, 3, 4, 5] };
         assert_eq!(PublishFrame::decode(&publish.encode()).unwrap(), publish);
     }
 
@@ -336,7 +340,7 @@ mod tests {
         for cut in 0..full.len() {
             assert!(PredictResponse::decode(&full[..cut]).is_err(), "cut={cut}");
         }
-        let pf = PublishFrame { version: 1, model_bytes: vec![9, 9] }.encode();
+        let pf = PublishFrame { version: 1, model_bytes: &[9, 9] }.encode();
         for cut in 0..pf.len() {
             assert!(PublishFrame::decode(&pf[..cut]).is_err(), "cut={cut}");
         }

@@ -188,7 +188,7 @@ fn quantized_layout_is_bit_invisible_under_fuzz() {
                 );
             }
             for id in internal..total {
-                tree.set_leaf(id as u32, vec![(next() % 1000) as f64 / 500.0 - 1.0]);
+                tree.set_leaf(id as u32, &[(next() % 1000) as f64 / 500.0 - 1.0]);
             }
             model.trees.push(tree);
         }
